@@ -51,8 +51,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=64, help="model input size")
     p.add_argument("--latent", type=int, default=128)
-    p.add_argument("--alternating", action="store_true",
-                   help="separate KL min-step and likelihood max-step updates")
 
     p = sub.add_parser("segment", help="segment images with a trained model")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -88,12 +86,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = data_io.load_dataset(args.data, input_size=args.size)
-    model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent,
-                                 family=args.family, kl_weight=args.beta)
+    model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent)
     train_config = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
         beta=args.beta, family=args.family, seed=args.seed,
-        curve_path=args.curve, checkpoint_path=args.out, alternating=args.alternating)
+        curve_path=args.curve, checkpoint_path=args.out)
     _, records = trainer.train(dataset, model_config, train_config)
     print(f"trained {args.epochs} epochs on {len(dataset)} samples; "
           f"final loss {records[-1].loss:.6g} (kl {records[-1].kl:.6g}, "
@@ -102,25 +99,23 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    """Each image is resampled to the model's size, and its mask back to the
+    image's own size, so masks line up with source-size ground truth."""
     net = data_io.load_checkpoint(args.model)
     out_dir = data_io.ensure_dir(args.out)
     data_path = Path(args.data)
     if data_path.suffix.lower() == ".pgm":
-        items = [(data_path.name, data_io.read_pgm(data_path))]
+        paths = [data_path]
     else:
-        base = data_path.parent
-        items = []
-        for line in data_path.read_text().splitlines():
-            if line.strip():
-                rel = line.split("\t")[0]
-                image = data_io.resample_bilinear(data_io.read_pgm(base / rel),
-                                                  net.config.input_size,
-                                                  net.config.input_size)
-                items.append((Path(rel).name, image))
-    for name, image in items:
+        paths = [image for image, _ in data_io.read_manifest(data_path)]
+    size = net.config.input_size
+    for path in paths:
+        source = data_io.read_pgm(path)
+        image = data_io.resample_bilinear(source, size, size)
         _, mask = trainer.segment(net, image, threshold=args.threshold)
-        data_io.write_pgm(mask.astype(np.float64), out_dir / name, bit_depth=8)
-    print(f"segmented {len(items)} image(s) into {out_dir}")
+        mask = data_io.resample_nearest(mask, *source.shape)
+        data_io.write_pgm(mask.astype(np.float64), out_dir / path.name, bit_depth=8)
+    print(f"segmented {len(paths)} image(s) into {out_dir}")
     return 0
 
 
@@ -195,10 +190,13 @@ def cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # The engine raises NonFiniteError on any non-finite op output, so
+        # numpy's overflow warnings would only repeat that one-line error.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -208,3 +206,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -42,8 +42,6 @@ class MetricsReport:
     f1: float
     iou: float
     rfr: float
-    oil_row: tuple[float, float]          # (oil->oil, oil->background) rates
-    background_row: tuple[float, float]   # (background->oil, background->background)
 
 
 def _as_binary(name, mask) -> np.ndarray:
@@ -83,11 +81,8 @@ def score(counts: ConfusionCounts) -> MetricsReport:
         f1 = (2.0 * precision * recall / (precision + recall)
               if precision + recall else 0.0)
         iou = tp / (tp + fp + fn)
-    oil_row = (tp / (tp + fn), fn / (tp + fn)) if tp + fn else (1.0, 0.0)
-    bg_row = (fp / (fp + tn), tn / (fp + tn)) if fp + tn else (0.0, 1.0)
     return MetricsReport(counts=counts, accuracy=accuracy, precision=precision,
-                         recall=recall, f1=f1, iou=iou, rfr=iou,
-                         oil_row=oil_row, background_row=bg_row)
+                         recall=recall, f1=f1, iou=iou, rfr=iou)
 
 
 def evaluate(gt, pred) -> MetricsReport:

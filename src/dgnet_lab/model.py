@@ -48,6 +48,9 @@ class ModelConfig:
             raise ValueError("latent_dim must be >= 1")
         if len(self.channels) != 4:
             raise ValueError(f"expected 4 encoder channel counts, got {self.channels}")
+        if min(self.channels) < 1 or self.kernel < 1:
+            raise ValueError(f"channel counts and kernel must be >= 1, got "
+                             f"{self.channels} and {self.kernel}")
         if self.input_size % 16 != 0 or self.input_size < 16:
             raise ValueError(f"input_size must be a positive multiple of 16, got {self.input_size}")
         if self.kl_weight < 0:

@@ -35,13 +35,6 @@ class ExponentialModel:
         return 1.0 / self.rate
 
 
-def exp_pdf(x: float, model: ExponentialModel) -> float:
-    """Density rate*exp(-rate*x) for x >= 0, zero on negative support."""
-    if x < 0:
-        return 0.0
-    return model.rate * math.exp(-model.rate * x)
-
-
 def exp_sample(model: ExponentialModel, rng: Rng, n: int) -> np.ndarray:
     """Inverse-CDF sampling: x = -ln(1 - u) / rate, u uniform in [0, 1)."""
     if n < 1:
@@ -130,6 +123,13 @@ def _blob_mask(size, fraction_bounds, count_range, rng: Rng) -> tuple[np.ndarray
         frac = float(mask.mean())
         if lo <= frac <= hi:
             return mask, frac
+    # A one-layer target within a pixel of a bound can threshold to just
+    # outside it on every retry; one layer aimed at the middle of the bounds
+    # lands inside them whenever they are more than a pixel or two apart.
+    mask = _blob_layer(size, 0.5 * (lo + hi), rng)
+    frac = float(mask.mean())
+    if lo <= frac <= hi:
+        return mask, frac
     raise RuntimeError(
         f"could not hit mask fraction bounds {fraction_bounds} after {_MAX_BLOB_RETRIES} attempts")
 

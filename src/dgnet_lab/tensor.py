@@ -43,15 +43,15 @@ def _as_float_array(data, dtype):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None,
-                 _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _op=None):
         self.data = _as_float_array(data, dtype)
         if _nan_checks and not np.all(np.isfinite(self.data)):
-            raise NonFiniteError("tensor holds non-finite values")
+            raise NonFiniteError(f"{_op} produced non-finite values" if _op
+                                 else "tensor holds non-finite values")
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(p for p in _parents if p.requires_grad)
-        self._backward_fn = _backward
+        self._backward_fn = None
 
     # -- convenience -------------------------------------------------------
 
@@ -70,9 +70,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -87,10 +84,10 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     @staticmethod
-    def _result(data, parents, backward):
+    def _result(data, parents, op):
+        """Output of the op named `op`; its finiteness is scanned here, once."""
         requires = any(p.requires_grad for p in parents)
-        return Tensor(data, requires_grad=requires, _parents=parents,
-                      _backward=backward if requires else None)
+        return Tensor(data, requires_grad=requires, _parents=parents, _op=op)
 
     # -- elementwise arithmetic ---------------------------------------------
 
@@ -103,7 +100,7 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor._result(self.data + other.data, (self, other), None)
+        out = Tensor._result(self.data + other.data, (self, other), "add")
 
         def backward():
             if self.requires_grad:
@@ -116,7 +113,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor._result(-self.data, (self,), None)
+        out = Tensor._result(-self.data, (self,), "neg")
 
         def backward():
             self._accum_grad(-out.grad)
@@ -131,7 +128,7 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor._result(self.data * other.data, (self, other), None)
+        out = Tensor._result(self.data * other.data, (self, other), "mul")
 
         def backward():
             if self.requires_grad:
@@ -150,7 +147,7 @@ class Tensor:
 
     def __pow__(self, exponent):
         p = float(exponent)
-        out = Tensor._result(self.data ** p, (self,), None)
+        out = Tensor._result(self.data ** p, (self,), "pow")
 
         def backward():
             self._accum_grad(out.grad * p * self.data ** (p - 1.0))
@@ -162,7 +159,7 @@ class Tensor:
     def exp(self):
         with np.errstate(over="ignore"):
             data = np.exp(self.data)
-        out = Tensor._result(data, (self,), None)
+        out = Tensor._result(data, (self,), "exp")
 
         def backward():
             self._accum_grad(out.grad * out.data)
@@ -170,7 +167,7 @@ class Tensor:
         return out
 
     def log(self):
-        out = Tensor._result(np.log(self.data), (self,), None)
+        out = Tensor._result(np.log(self.data), (self,), "log")
 
         def backward():
             self._accum_grad(out.grad / self.data)
@@ -179,7 +176,7 @@ class Tensor:
 
     def clamp(self, lo: float, hi: float):
         mask = (self.data >= lo) & (self.data <= hi)
-        out = Tensor._result(np.clip(self.data, lo, hi), (self,), None)
+        out = Tensor._result(np.clip(self.data, lo, hi), (self,), "clamp")
 
         def backward():
             self._accum_grad(out.grad * mask)
@@ -192,7 +189,7 @@ class Tensor:
         y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         y = y.astype(x.dtype)
-        out = Tensor._result(y, (self,), None)
+        out = Tensor._result(y, (self,), "sigmoid")
 
         def backward():
             self._accum_grad(out.grad * out.data * (1.0 - out.data))
@@ -203,7 +200,7 @@ class Tensor:
         if not 0.0 <= slope < 1.0:
             raise ValueError(f"leaky_relu slope must be in [0, 1), got {slope}")
         scale = np.where(self.data >= 0, 1.0, slope).astype(self.dtype)
-        out = Tensor._result(self.data * scale, (self,), None)
+        out = Tensor._result(self.data * scale, (self,), "leaky_relu")
 
         def backward():
             self._accum_grad(out.grad * scale)
@@ -215,7 +212,7 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor._result(self.data.reshape(shape), (self,), None)
+        out = Tensor._result(self.data.reshape(shape), (self,), "reshape")
 
         def backward():
             self._accum_grad(out.grad.reshape(self.shape))
@@ -226,7 +223,7 @@ class Tensor:
         """Columns [start:stop] of a 2-D tensor."""
         if self.data.ndim != 2:
             raise ShapeError(f"slice_cols expects 2-D input, got {self.shape}")
-        out = Tensor._result(self.data[:, start:stop].copy(), (self,), None)
+        out = Tensor._result(self.data[:, start:stop].copy(), (self,), "slice_cols")
 
         def backward():
             g = np.zeros_like(self.data)
@@ -239,7 +236,7 @@ class Tensor:
 
     def sum(self):
         out = Tensor._result(self.data.sum(dtype=np.float64).astype(self.dtype),
-                             (self,), None)
+                             (self,), "sum")
 
         def backward():
             self._accum_grad(np.full(self.shape, out.grad, dtype=self.dtype))
@@ -284,11 +281,6 @@ def _unbroadcast(grad, shape):
 
 
 # -- layers -----------------------------------------------------------------
-
-
-def _check_finite(name, arr):
-    if _nan_checks and not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} produced non-finite values")
 
 
 def _im2col(x, k, stride, pad):
@@ -337,8 +329,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     wm = weight.data.reshape(f, c * k * k)
     out_flat = np.matmul(wm, cols) + bias.data[:, None]
     out_data = out_flat.reshape(n, f, ho, wo)
-    _check_finite("conv2d", out_data)
-    out = Tensor._result(out_data, (x, weight, bias), None)
+    out = Tensor._result(out_data, (x, weight, bias), "conv2d")
 
     def backward():
         g = out.grad.reshape(n, f, ho * wo)
@@ -380,8 +371,7 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor,
     cols_y = np.matmul(mt.T, x_flat)                      # N, F*k*k, H*W
     out_data = _col2im(cols_y, n, f, ho, wo, k, stride, pad, h, w)
     out_data += bias.data[None, :, None, None]
-    _check_finite("conv2d_transpose", out_data)
-    out = Tensor._result(out_data, (x, weight, bias), None)
+    out = Tensor._result(out_data, (x, weight, bias), "conv2d_transpose")
 
     def backward():
         g = out.grad
@@ -427,8 +417,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     mu = mu.astype(xd.dtype)
     xhat = (xd - mu[None, :, None, None]) * inv[None, :, None, None]
     out_data = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-    _check_finite("batchnorm2d", out_data)
-    out = Tensor._result(out_data, (x, gamma, beta), None)
+    out = Tensor._result(out_data, (x, gamma, beta), "batchnorm2d")
 
     def backward():
         g = out.grad
@@ -461,8 +450,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.shape}")
     out_data = x.data @ weight.data + bias.data
-    _check_finite("dense", out_data)
-    out = Tensor._result(out_data, (x, weight, bias), None)
+    out = Tensor._result(out_data, (x, weight, bias), "dense")
 
     def backward():
         g = out.grad

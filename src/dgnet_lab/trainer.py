@@ -1,9 +1,7 @@
 """Mini-batch ELBO training with Adam, plus deterministic inference.
 
-The default mode optimizes the single composed loss jointly for encoder and
-decoder parameters. An alternating mode is available that applies the KL
-gradient to the encoder and the segmentation-likelihood gradient to the
-decoder as two separate steps.
+One Adam optimizer updates encoder and decoder parameters jointly on the
+single composed loss.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ class TrainConfig:
     seed: int = 0
     curve_path: str | None = None
     checkpoint_path: str | None = None
-    alternating: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -122,17 +119,9 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
     model_config = replace(model_config, family=train_config.family,
                            kl_weight=train_config.beta)
     model = M.DGNet(model_config, seed=train_config.seed)
-    prior = M.PriorSpec(family=model_config.family)
     master = Rng(train_config.seed)
     noise_rng = master.split("latent-noise")
-
-    if train_config.alternating:
-        opt_enc = Adam({n: p for n, p in model.params.items() if n.startswith("enc.")})
-        opt_dec = Adam({n: p for n, p in model.params.items() if n.startswith("dec.")})
-        optimizers = (opt_enc, opt_dec)
-    else:
-        opt = Adam(model.params)
-        optimizers = (opt,)
+    opt = Adam(model.params)
 
     n = len(dataset)
     records: list[EpochRecord] = []
@@ -145,21 +134,10 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
             images, masks = _batch_tensors(dataset, idx)
             noise = M.frozen_latent_noise(model, len(idx), noise_rng.split(("draw", epoch, start)))
             loss, kl, nll = M.elbo_loss(model, images, masks, rng=None, noise=noise,
-                                        train=True, prior=prior)
-            for o in optimizers:
-                o.zero_grad()
-            if train_config.alternating:
-                # Min-step: KL gradient onto encoder parameters.
-                (train_config.beta * kl).backward()
-                opt_enc.step(train_config.learning_rate)
-                opt_enc.zero_grad()
-                opt_dec.zero_grad()
-                # Max-step: likelihood gradient onto decoder parameters.
-                nll.backward()
-                opt_dec.step(train_config.learning_rate)
-            else:
-                loss.backward()
-                opt.step(train_config.learning_rate)
+                                        train=True)
+            opt.zero_grad()
+            loss.backward()
+            opt.step(train_config.learning_rate)
             sums += (loss.item(), kl.item(), nll.item())
             batches += 1
         records.append(EpochRecord(epoch=epoch, loss=sums[0] / batches,

@@ -207,6 +207,7 @@ def test_criterion_06_single_sample_nll_estimator_calibration():
     assert gap < 3 * stderr
 
 
+@pytest.mark.slow
 def test_criterion_07_end_to_end_segmentation(exp_run):
     pooled = exp_run["pooled"]
     print(f"criterion 7: pooled accuracy {pooled.accuracy:.4f} "
@@ -217,6 +218,7 @@ def test_criterion_07_end_to_end_segmentation(exp_run):
     assert pooled.iou >= 0.80
 
 
+@pytest.mark.slow
 def test_criterion_08_learning_curve_progress(exp_run):
     records = exp_run["records"]
     assert records[-1].loss < records[0].loss
@@ -231,6 +233,7 @@ def test_criterion_08_learning_curve_progress(exp_run):
           f"loss == nll + beta*kl")
 
 
+@pytest.mark.slow
 def test_criterion_09_family_ablation_report(exp_run, gauss_run):
     # Report-only: directional comparison of the two latent families.
     lines = ["criterion 9: family ablation (report only)",
@@ -246,6 +249,7 @@ def test_criterion_09_family_ablation_report(exp_run, gauss_run):
     print("\n".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_10_run_determinism(exp_run, exp_run_repeat):
     assert exp_run["ckpt_path"].read_bytes() == exp_run_repeat["ckpt_path"].read_bytes()
     assert exp_run["curve_path"].read_bytes() == exp_run_repeat["curve_path"].read_bytes()
@@ -259,6 +263,7 @@ def test_criterion_10_run_determinism(exp_run, exp_run_repeat):
           f"across repeated runs")
 
 
+@pytest.mark.slow
 def test_criterion_11_checkpoint_roundtrip(exp_run, tmp_path):
     first = tmp_path / "first.dgnt"
     second = tmp_path / "second.dgnt"

@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dgnet_lab
 from dgnet_lab import data_io
+from dgnet_lab import model as M
 from dgnet_lab.cli import cli
 from dgnet_lab.rng import Rng
+
+_SRC = str(Path(dgnet_lab.__file__).resolve().parent.parent)
+
+
+def run_module(args, cwd):
+    """`python -m dgnet_lab.cli ARGS` in a fresh interpreter."""
+    env = dict(os.environ, OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "dgnet_lab.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 class TestSynth:
@@ -47,6 +64,28 @@ class TestTrainSegmentRoundtrip:
         assert len(list(pred.glob("*.pgm"))) == 3
         mask = data_io.read_pgm(pred / "00000.pgm")
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    def test_source_sized_masks(self, tmp_path):
+        # A 96 px image on a 32 px model: segment resamples the image to the
+        # model and writes its mask at 96 px, so eval against 96 px truth works.
+        ds = tmp_path / "ds"
+        assert cli(["synth", "--out", str(ds), "--count", "2", "--size", "96",
+                    "--seed", "2"]) == 0
+        ckpt = tmp_path / "model.dgnt"
+        assert cli(["train", "--data", str(ds / "manifest.tsv"), "--out", str(ckpt),
+                    "--epochs", "1", "--size", "32", "--latent", "8", "--seed", "2"]) == 0
+        for data, count in ((ds / "images" / "00000.pgm", 1), (ds / "manifest.tsv", 2)):
+            pred = tmp_path / f"pred{count}"
+            assert cli(["segment", "--model", str(ckpt), "--data", str(data),
+                        "--out", str(pred)]) == 0
+            assert [data_io.read_pgm(p).shape for p in sorted(pred.glob("*.pgm"))] \
+                == [(96, 96)] * count
+            gt = tmp_path / f"gt{count}"
+            gt.mkdir()
+            for p in pred.glob("*.pgm"):
+                (gt / p.name).write_bytes((ds / "masks" / p.name).read_bytes())
+            assert cli(["eval", "--gt", str(gt), "--pred", str(pred),
+                        "--out", str(tmp_path / f"report{count}.csv")]) == 0
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         code = cli(["train", "--data", str(tmp_path / "missing.tsv"),
@@ -106,6 +145,25 @@ class TestGradcheck:
         out = capsys.readouterr().out
         err = float(out.split(":")[1].split("(")[0])
         assert err < 1e-3
+
+
+class TestErrorContract:
+    def test_non_finite_output_is_one_line_validation_error(self, tmp_path):
+        net = M.DGNet(M.ModelConfig(input_size=16, channels=(2, 2, 2, 2), latent_dim=2))
+        for p in net.params.values():
+            p.data[...] = 1e38
+        data_io.save_checkpoint(net, tmp_path / "big.dgnt")
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "img.pgm", bit_depth=16)
+        result = run_module(["segment", "--model", "big.dgnt", "--data", "img.pgm",
+                             "--out", "pred"], cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == ["error: conv2d produced non-finite values"]
+
+    def test_module_entry_point_runs_the_command(self, tmp_path):
+        result = run_module(["synth", "--out", "d", "--count", "2", "--size", "16"],
+                            cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert len(list((tmp_path / "d" / "images").glob("*.pgm"))) == 2
 
 
 class TestArgHandling:

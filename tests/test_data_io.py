@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgnet_lab import data_io, speckle
 from dgnet_lab import model as M
@@ -163,23 +167,136 @@ class TestCheckpoint:
             data_io.load_checkpoint(p)
 
 
-class TestConfigText:
-    def test_parse_known_keys(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("family = gauss\nlatent_dim=32\n# comment\nkl_weight = 0.5\n")
-        cfg = data_io.parse_config(p)
-        assert cfg["family"] == "gauss"
-        assert cfg["latent_dim"] == 32
-        assert cfg["kl_weight"] == pytest.approx(0.5)
+class TestManifest:
+    def test_entries_are_relative_to_the_manifest(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        p.write_text("images/a.pgm\tmasks/a.pgm\n\n  images/b.pgm\tmasks/b.pgm  \n")
+        assert list(data_io.read_manifest(p)) == [
+            (tmp_path / "images/a.pgm", tmp_path / "masks/a.pgm"),
+            (tmp_path / "images/b.pgm", tmp_path / "masks/b.pgm")]
 
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("no_such_key=1\n")
+    @pytest.mark.parametrize("line", ["images/a.pgm", "a\tb\tc", "\tmasks/a.pgm",
+                                      "images/a.pgm\t\tmasks/a.pgm"])
+    def test_malformed_line_rejected(self, tmp_path, line):
+        p = tmp_path / "manifest.tsv"
+        p.write_text(line + "\n")
         with pytest.raises(FormatError):
-            data_io.parse_config(p)
+            list(data_io.read_manifest(p))
 
-    def test_bad_value_type_rejected(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("latent_dim=many\n")
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        p.write_bytes(b"images/\xff.pgm\tmasks/\xff.pgm\n")
         with pytest.raises(FormatError):
-            data_io.parse_config(p)
+            list(data_io.read_manifest(p))
+        with pytest.raises(FormatError):
+            data_io.load_dataset(p)
+
+
+_TINY = M.ModelConfig(input_size=16, channels=(2, 2, 2, 2), latent_dim=2)
+
+
+def _tiny_checkpoint() -> bytes:
+    return data_io.checkpoint_bytes(M.DGNet(_TINY, seed=1))
+
+
+def _with_config_text(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """`blob` with `old` replaced by `new` in its length-prefixed config block."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    block = blob[12:12 + n].replace(old, new)
+    return blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + n:]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("old, new", [(b"family=exp", b"family=\xffxp"),
+                                          (b"channels=2,", b"channels=-2,")])
+    def test_bad_config_block(self, tmp_path, old, new):
+        (tmp_path / "m.dgnt").write_bytes(_with_config_text(_tiny_checkpoint(), old, new))
+        with pytest.raises(FormatError):
+            data_io.load_checkpoint(tmp_path / "m.dgnt")
+
+    def test_non_utf8_tensor_name(self, tmp_path):
+        blob = _tiny_checkpoint().replace(b"enc.conv0.w", b"enc.conv0.\xff", 1)
+        (tmp_path / "m.dgnt").write_bytes(blob)
+        with pytest.raises(FormatError):
+            data_io.load_checkpoint(tmp_path / "m.dgnt")
+
+    @pytest.mark.parametrize("name", ["enc.conv0.w", "dec.bn2.running_var"])
+    def test_non_finite_payload(self, tmp_path, name):
+        net = M.DGNet(_TINY, seed=1)
+        net.state_tensors()[name].flat[0] = np.inf
+        (tmp_path / "m.dgnt").write_bytes(data_io.checkpoint_bytes(net))
+        with pytest.raises(FormatError):
+            data_io.load_checkpoint(tmp_path / "m.dgnt")
+
+
+# Property tests: any byte string read as a PGM, checkpoint or manifest gives a
+# result or FormatError, never another exception. Examples are derandomized
+# so that the suite's verdict does not change between runs.
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _mutations(valid: bytes):
+    """Arbitrary bytes, plus a valid file truncated, extended or with bytes replaced."""
+    n = len(valid)
+    edits = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 255)), max_size=4)
+    return st.one_of(
+        st.binary(max_size=256),
+        st.integers(0, n).map(lambda k: valid[:k]),
+        st.binary(min_size=1, max_size=16).map(lambda tail: valid + tail),
+        edits.map(lambda es: _replace_bytes(valid, es)),
+    )
+
+
+def _replace_bytes(valid, edits):
+    out = bytearray(valid)
+    for i, b in edits:
+        out[i] = b
+    return bytes(out)
+
+
+_VALID_PGM = b"P5\n3 2\n65535\n" + bytes(range(12))
+
+
+class TestMalformedInput:
+    @_FUZZ
+    @given(blob=_mutations(_VALID_PGM))
+    def test_read_pgm(self, fuzz_dir, blob):
+        path = fuzz_dir / "x.pgm"
+        path.write_bytes(blob)
+        try:
+            img = data_io.read_pgm(path)
+        except FormatError:
+            return
+        assert img.ndim == 2 and img.dtype == np.float32
+        assert img.min() >= 0.0 and img.max() <= 1.0
+
+    @_FUZZ
+    @given(blob=_mutations(_tiny_checkpoint()))
+    def test_load_checkpoint(self, fuzz_dir, blob):
+        path = fuzz_dir / "x.dgnt"
+        path.write_bytes(blob)
+        try:
+            net = data_io.load_checkpoint(path)
+        except FormatError:
+            return
+        assert isinstance(net, M.DGNet)
+
+    @_FUZZ
+    @given(blob=st.one_of(
+        st.binary(max_size=128),
+        st.lists(st.sampled_from([b"images/a.pgm", b"masks/a.pgm", b"\t", b"\n", b" ",
+                                  b"\r", b"\xff", b"\xc3\xa9", b"\x00"]),
+                 max_size=12).map(b"".join)))
+    def test_read_manifest(self, fuzz_dir, blob):
+        path = fuzz_dir / "manifest.tsv"
+        path.write_bytes(blob)
+        try:
+            entries = list(data_io.read_manifest(path))
+        except FormatError:
+            return
+        assert all(len(pair) == 2 for pair in entries)

@@ -89,9 +89,9 @@ class TestScores:
     def test_row_normalised_confusion(self):
         gt = np.array([[1, 1], [0, 0]], np.uint8)
         pred = np.array([[1, 0], [1, 0]], np.uint8)
-        r = metrics.score(metrics.confusion(gt, pred))
-        assert r.oil_row == pytest.approx((0.5, 0.5))
-        assert r.background_row == pytest.approx((0.5, 0.5))
+        c = metrics.confusion(gt, pred)
+        assert metrics.score(c).recall == pytest.approx(0.5)   # oil row: tp / (tp + fn)
+        assert c.fp / (c.fp + c.tn) == pytest.approx(0.5)      # background row
 
 
 class TestBatchEval:

@@ -348,6 +348,18 @@ class TestInvariants:
         with pytest.raises(T.NonFiniteError):
             (x * x).exp()
 
+    def test_non_finite_output_names_its_op(self):
+        x = Tensor(np.full((1, 1, 4, 4), 1e30, np.float32))
+        w = Tensor(np.full((1, 1, 3, 3), 1e30, np.float32))
+        b = Tensor(np.zeros(1, np.float32))
+        with np.errstate(over="ignore"):
+            with pytest.raises(T.NonFiniteError, match="^conv2d produced"):
+                T.conv2d(x, w, b)
+            with pytest.raises(T.NonFiniteError, match="^exp produced"):
+                Tensor(np.array([1000.0])).exp()
+        with pytest.raises(T.NonFiniteError, match="^tensor holds"):
+            Tensor(np.array([np.nan]))
+
     def test_nan_checks_toggle(self):
         T.set_nan_checks(False)
         try:

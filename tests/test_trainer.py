@@ -118,16 +118,6 @@ class TestTrain:
         assert [(r.loss, r.kl, r.nll) for r in r1] == \
                [(r.loss, r.kl, r.nll) for r in r2]
 
-    def test_alternating_mode_runs_and_differs_from_joint(self):
-        data = tiny_dataset()
-        _, joint = trainer.train(data, SMALL_MODEL,
-                                 trainer.TrainConfig(epochs=2, seed=0))
-        _, alt = trainer.train(data, SMALL_MODEL,
-                               trainer.TrainConfig(epochs=2, seed=0,
-                                                   alternating=True))
-        assert np.isfinite(alt[-1].loss)
-        assert alt[-1].loss != joint[-1].loss
-
     def test_loss_decreases_on_tiny_problem(self):
         data = tiny_dataset(n=8)
         _, recs = trainer.train(data, SMALL_MODEL,
