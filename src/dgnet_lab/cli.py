@@ -102,12 +102,18 @@ def _cmd_segment(args) -> int:
     """Each image is resampled to the model's size, and its mask back to the
     image's own size, so masks line up with source-size ground truth."""
     net = data_io.load_checkpoint(args.model)
-    out_dir = data_io.ensure_dir(args.out)
     data_path = Path(args.data)
     if data_path.suffix.lower() == ".pgm":
         paths = [data_path]
     else:
         paths = [image for image, _ in data_io.read_manifest(data_path)]
+    sources = {}
+    for path in paths:
+        if path.name in sources:
+            raise ValueError(f"{sources[path.name]} and {path} would both write the mask "
+                             f"{path.name}")
+        sources[path.name] = path
+    out_dir = data_io.ensure_dir(args.out)
     size = net.config.input_size
     for path in paths:
         source = data_io.read_pgm(path)
@@ -171,7 +177,7 @@ def _cmd_gradcheck(args) -> int:
     rng = Rng(args.seed)
     image = rng.split("image").uniform((1, 1, 16, 16))
     mask = (rng.split("mask").uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
-    err = grad_check(net, image, mask, rel_tolerance=args.tolerance, rng=rng)
+    err = grad_check(net, image, mask, rng=rng)
     print(f"max relative gradient error: {err:.3e} (tolerance {args.tolerance:g})")
     return 0 if err < args.tolerance else 1
 

@@ -9,6 +9,7 @@ File formats:
 from __future__ import annotations
 
 import io
+import math
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -142,12 +143,7 @@ def resample_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def read_manifest(manifest_path) -> Iterator[tuple[Path, Path]]:
-    """Yield (image path, mask path) per manifest line, relative to the manifest.
-
-    Entries are yielded as parsed, not collected first: collecting them
-    shifted the cyclic garbage collector's schedule for the training that
-    follows, which raised the peak RSS of `dgnet train` at batch 8 by 5 %.
-    """
+    """Yield (image path, mask path) per manifest line, relative to the manifest."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     text = _decode(manifest_path.read_bytes(), f"manifest {manifest_path}")
@@ -268,6 +264,11 @@ def load_checkpoint(path) -> M.DGNet:
         raise FormatError(f"unsupported checkpoint version {version}")
     (block_len,) = struct.unpack("<I", read_exact(4, "config length"))
     config = _config_from_block(read_exact(block_len, "config block"))
+    need = 4 * sum(math.prod(shape) for _, shape, _ in M.state_layout(config))
+    remaining = len(data) - view.tell()
+    if need > remaining:
+        raise FormatError(f"truncated checkpoint: its config block declares {need} bytes "
+                          f"of tensors, {remaining} bytes remain")
 
     model = M.DGNet(config, _init=False)
     expected = model.state_tensors()

@@ -83,6 +83,42 @@ class PriorSpec:
             raise ValueError("prior rate must be positive")
 
 
+def _bn_layout(name, channels):
+    yield f"{name}.gamma", (channels,), 1.0
+    yield f"{name}.beta", (channels,), 0.0
+    yield f"{name}.running_mean", (channels,), 0.0
+    yield f"{name}.running_var", (channels,), 1.0
+
+
+def state_layout(config: ModelConfig):
+    """Yield (name, shape, init) for every parameter and batch-norm buffer.
+
+    `init` is a constant fill value, or (rng label, fan-in) for a weight drawn
+    uniformly from +-sqrt(1/fan-in). Names ending in `.running_mean` or
+    `.running_var` are buffers. Parameters come in checkpoint order, and so do
+    buffers.
+    """
+    k = config.kernel
+    chans = (1,) + tuple(config.channels)
+    for i in range(4):
+        c_in, c_out = chans[i], chans[i + 1]
+        yield f"enc.conv{i}.w", (c_out, c_in, k, k), (f"enc{i}", c_in * k * k)
+        yield f"enc.conv{i}.b", (c_out,), 0.0
+        yield from _bn_layout(f"enc.bn{i}", c_out)
+    flat = config.channels[-1] * config.seed_size ** 2
+    yield "enc.fc.w", (flat, 2 * config.latent_dim), ("encfc", flat)
+    yield "enc.fc.b", (2 * config.latent_dim,), 0.0
+    yield "dec.fc.w", (config.latent_dim, flat), ("decfc", config.latent_dim)
+    yield "dec.fc.b", (flat,), 0.0
+    dchans = tuple(reversed(config.channels)) + (1,)
+    for i in range(4):
+        c_in, c_out = dchans[i], dchans[i + 1]
+        yield f"dec.deconv{i}.w", (c_in, c_out, k, k), (f"dec{i}", c_in * k * k)
+        yield f"dec.deconv{i}.b", (c_out,), 0.0
+        if i < 3:
+            yield from _bn_layout(f"dec.bn{i}", c_out)
+
+
 class DGNet:
     """Encoder + decoder with named parameters and batch-norm buffers."""
 
@@ -94,48 +130,20 @@ class DGNet:
         self.buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._build(Rng(seed) if _init else None)
 
-    def _add_param(self, name, shape, rng, fan_in=None):
-        if rng is None or fan_in is None:
-            data = np.zeros(shape, dtype=self.dtype)
-        else:
-            bound = math.sqrt(1.0 / fan_in)
-            data = ((rng.uniform(shape) * 2.0 - 1.0) * bound).astype(self.dtype)
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def _add_bn(self, name, channels, rng):
-        self.params[f"{name}.gamma"] = Tensor(np.ones(channels, dtype=self.dtype),
-                                              requires_grad=True)
-        self.params[f"{name}.beta"] = Tensor(np.zeros(channels, dtype=self.dtype),
-                                             requires_grad=True)
-        self.buffers[f"{name}.running_mean"] = np.zeros(channels, dtype=self.dtype)
-        self.buffers[f"{name}.running_var"] = np.ones(channels, dtype=self.dtype)
-
     def _build(self, rng):
-        cfg = self.config
-        k = cfg.kernel
-        chans = (1,) + tuple(cfg.channels)
-        for i in range(4):
-            c_in, c_out = chans[i], chans[i + 1]
-            sub = rng.split(f"enc{i}") if rng else None
-            self._add_param(f"enc.conv{i}.w", (c_out, c_in, k, k), sub, fan_in=c_in * k * k)
-            self._add_param(f"enc.conv{i}.b", (c_out,), None)
-            self._add_bn(f"enc.bn{i}", c_out, rng)
-        flat = cfg.channels[-1] * cfg.seed_size ** 2
-        self._add_param("enc.fc.w", (flat, 2 * cfg.latent_dim),
-                        rng.split("encfc") if rng else None, fan_in=flat)
-        self._add_param("enc.fc.b", (2 * cfg.latent_dim,), None)
-
-        self._add_param("dec.fc.w", (cfg.latent_dim, flat),
-                        rng.split("decfc") if rng else None, fan_in=cfg.latent_dim)
-        self._add_param("dec.fc.b", (flat,), None)
-        dchans = tuple(reversed(cfg.channels)) + (1,)
-        for i in range(4):
-            c_in, c_out = dchans[i], dchans[i + 1]
-            sub = rng.split(f"dec{i}") if rng else None
-            self._add_param(f"dec.deconv{i}.w", (c_in, c_out, k, k), sub, fan_in=c_in * k * k)
-            self._add_param(f"dec.deconv{i}.b", (c_out,), None)
-            if i < 3:
-                self._add_bn(f"dec.bn{i}", c_out, rng)
+        for name, shape, init in state_layout(self.config):
+            if isinstance(init, float):
+                data = np.full(shape, init, dtype=self.dtype)
+            elif rng is None:
+                data = np.zeros(shape, dtype=self.dtype)
+            else:
+                key, fan_in = init
+                bound = math.sqrt(1.0 / fan_in)
+                data = ((rng.split(key).uniform(shape) * 2.0 - 1.0) * bound).astype(self.dtype)
+            if name.endswith((".running_mean", ".running_var")):
+                self.buffers[name] = data
+            else:
+                self.params[name] = Tensor(data, requires_grad=True)
 
     # -- persistence helpers -------------------------------------------------
 
@@ -265,22 +273,19 @@ def seg_nll(prob: Tensor, gt_mask: Tensor) -> Tensor:
     return per_pixel.mean()
 
 
-def elbo_loss(model: DGNet, image: Tensor, gt_mask: Tensor, rng: Rng | None,
-              noise: np.ndarray | None = None, train: bool = True,
-              prior: PriorSpec | None = None):
-    """Negative single-sample ELBO estimate: (loss, kl, nll) with loss = nll + beta*kl."""
-    if prior is None:
-        prior = PriorSpec(family=model.config.family)
-    lp = model.encode(image, train=train)
-    z = sample_latent(lp, rng, noise=noise)
-    prob = model.decode(z, train=train)
+def elbo_loss(model: DGNet, image: Tensor, gt_mask: Tensor, noise: np.ndarray):
+    """Negative single-sample ELBO estimate in train mode, with the latent drawn
+    from `noise` (see frozen_latent_noise): (loss, kl, nll), loss = nll + beta*kl."""
+    lp = model.encode(image, train=True)
+    z = sample_latent(lp, None, noise=noise)
+    prob = model.decode(z, train=True)
     nll = seg_nll(prob, gt_mask)
-    kl = kl_term(lp, prior)
+    kl = kl_term(lp, PriorSpec(family=model.config.family))
     loss = nll + model.config.kl_weight * kl
     return loss, kl, nll
 
 
-def latent_point_estimate(model: DGNet, lp: LatentParams) -> Tensor:
+def latent_point_estimate(lp: LatentParams) -> Tensor:
     """Deterministic latent for inference: c0 (gauss) or the posterior mean exp(c0) (exp)."""
     if lp.family == "gauss":
         return lp.c0

@@ -39,15 +39,16 @@ class TrainConfig:
             raise ValueError(f"family must be one of {M.FAMILIES}, got {self.family!r}")
 
 
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: dict):
         self.params = {name: p for name, p in params.items() if p.requires_grad}
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -55,8 +56,8 @@ class Adam:
     def step(self, lr: float) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - _BETA1 ** t
+        bc2 = 1.0 - _BETA2 ** t
         # theta -= lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections
         # folded into the step size: m_hat/(sqrt(v_hat)+eps)
         # == m*sqrt(bc2)/bc1 / (sqrt(v) + eps*sqrt(bc2)).
@@ -70,19 +71,21 @@ class Adam:
                 raise ValueError(f"gradient shape mismatch for {name}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * np.square(g)
             denom = np.sqrt(v)
-            denom += self.eps * sqrt_bc2
+            denom += _EPS * sqrt_bc2
             np.divide(m, denom, out=denom)
             denom *= step_size
             p.data -= denom
 
     def zero_grad(self) -> None:
+        """Zero each gradient in place, so its buffer is reused by the next step."""
         for p in self.params.values():
-            p.zero_grad()
+            if p.grad is not None:
+                p.grad.fill(0)
 
 
 @dataclass
@@ -133,8 +136,7 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
             idx = order[start:start + train_config.batch_size]
             images, masks = _batch_tensors(dataset, idx)
             noise = M.frozen_latent_noise(model, len(idx), noise_rng.split(("draw", epoch, start)))
-            loss, kl, nll = M.elbo_loss(model, images, masks, rng=None, noise=noise,
-                                        train=True)
+            loss, kl, nll = M.elbo_loss(model, images, masks, noise)
             opt.zero_grad()
             loss.backward()
             opt.step(train_config.learning_rate)
@@ -163,7 +165,7 @@ def segment(model: M.DGNet, image, threshold: float = 0.5):
         raise ValueError(f"segment expects a 2-D image, got shape {img.shape}")
     x = Tensor(img[None, None])
     lp = model.encode(x, train=False)
-    z = M.latent_point_estimate(model, lp)
+    z = M.latent_point_estimate(lp)
     prob = model.decode(z, train=False).data[0, 0]
     mask = (prob >= threshold).astype(np.uint8)
     return prob, mask

@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,39 @@ class TestTrainSegmentRoundtrip:
         code = cli(["train", "--data", str(tmp_path / "missing.tsv"),
                     "--out", str(tmp_path / "m.dgnt"), "--epochs", "1"])
         assert code == 2
+
+
+class TestSegmentInputs:
+    CFG = M.ModelConfig(input_size=16, channels=(2, 2, 2, 2), latent_dim=2)
+
+    def test_colliding_mask_names_are_refused(self, tmp_path, capsys):
+        data_io.save_checkpoint(M.DGNet(self.CFG), tmp_path / "m.dgnt")
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / d / "x.pgm", bit_depth=16)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("a/x.pgm\ta/x.pgm\nb/x.pgm\tb/x.pgm\n")
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"), "--data", str(manifest),
+                    "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert str(Path("a", "x.pgm")) in err[0] and str(Path("b", "x.pgm")) in err[0]
+        assert not (tmp_path / "pred").exists()
+
+    def test_checkpoint_declaring_a_huge_architecture(self, tmp_path, capsys):
+        # The file holds a tiny model; its config block claims ~60 GB of weights.
+        blob = data_io.checkpoint_bytes(M.DGNet(self.CFG))
+        (n,) = struct.unpack_from("<I", blob, 8)
+        block = blob[12:12 + n].replace(b"latent_dim=2\n", b"latent_dim=4000000000\n")
+        (tmp_path / "m.dgnt").write_bytes(blob[:8] + struct.pack("<I", len(block)) + block
+                                          + blob[12 + n:])
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "x.pgm", bit_depth=16)
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"),
+                    "--data", str(tmp_path / "x.pgm"), "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: truncated checkpoint")
 
 
 class TestEval:

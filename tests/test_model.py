@@ -214,14 +214,14 @@ class TestElboLoss:
         net = M.DGNet(cfg, seed=0)
         rng = Rng(15)
         noise = M.frozen_latent_noise(net, 1, rng)
-        loss, kl, nll = M.elbo_loss(net, rand_image(rng), rand_mask(rng), None, noise=noise)
+        loss, kl, nll = M.elbo_loss(net, rand_image(rng), rand_mask(rng), noise)
         assert loss.item() == pytest.approx(nll.item(), rel=1e-6)
 
     def test_loss_at_least_nll(self):
         net = M.DGNet(SMALL, seed=0)
         rng = Rng(16)
         noise = M.frozen_latent_noise(net, 1, rng)
-        loss, kl, nll = M.elbo_loss(net, rand_image(rng), rand_mask(rng), None, noise=noise)
+        loss, kl, nll = M.elbo_loss(net, rand_image(rng), rand_mask(rng), noise)
         assert kl.item() >= 0.0
         assert loss.item() >= nll.item() - 1e-6
 
@@ -267,11 +267,11 @@ class TestPointEstimate:
         net = M.DGNet(M.ModelConfig(input_size=32, channels=(4, 8, 8, 16),
                                     latent_dim=6, family="gauss"), seed=0)
         lp = net.encode(rand_image(Rng(19)), train=False)
-        z = M.latent_point_estimate(net, lp)
+        z = M.latent_point_estimate(lp)
         np.testing.assert_array_equal(z.data, lp.c0.data)
 
     def test_exp_uses_posterior_mean(self):
         net = M.DGNet(SMALL, seed=0)
         lp = net.encode(rand_image(Rng(20)), train=False)
-        z = M.latent_point_estimate(net, lp)
+        z = M.latent_point_estimate(lp)
         np.testing.assert_allclose(z.data, np.exp(np.clip(lp.c0.data, -6, 6)), rtol=1e-6)

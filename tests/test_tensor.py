@@ -265,6 +265,15 @@ class TestBackward:
         with pytest.raises(ShapeError):
             (x * 2.0).backward()
 
+    def test_backward_releases_the_graph(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = (x * x).exp()
+        loss = y.sum()
+        loss.backward()
+        for node in (loss, y):
+            assert node._parents == () and node._backward_fn is None
+        np.testing.assert_allclose(x.grad, 2.0 * x.data * np.exp(x.data ** 2))
+
     def test_grad_accumulates_over_reuse(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         (x + x).sum().backward()
@@ -360,12 +369,29 @@ class TestInvariants:
         with pytest.raises(T.NonFiniteError, match="^tensor holds"):
             Tensor(np.array([np.nan]))
 
-    def test_nan_checks_toggle(self):
-        T.set_nan_checks(False)
-        try:
+    def test_gradient_check_probe_that_overflows_raises(self):
+        # exp(88.72) is finite in float32 and exp(88.73) is not: the probe
+        # must fail like a training forward instead of scoring a perfect match.
+        x = Tensor(np.array([88.72], np.float32), requires_grad=True)
+        with pytest.raises(T.NonFiniteError, match="^exp produced"):
+            T.finite_difference_check(lambda: x.exp().sum(), {"x": x}, h=1e-2)
+
+    def test_gradient_check_that_raises_leaves_state_intact(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        calls = []
+
+        def loss_fn():
+            calls.append(None)
+            if len(calls) == 3:             # the second probe of x[0]
+                raise RuntimeError("probe failed")
+            return (x * x).sum()
+
+        with pytest.raises(RuntimeError, match="probe failed"):
+            T.finite_difference_check(loss_fn, {"x": x}, h=1e-3)
+        assert x.requires_grad
+        np.testing.assert_array_equal(x.data, [1.0, 2.0])
+        with pytest.raises(T.NonFiniteError):
             Tensor(np.array([np.inf]))
-        finally:
-            T.set_nan_checks(True)
 
     def test_determinism(self):
         def run():

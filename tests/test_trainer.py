@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,39 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             trainer.TrainConfig(**kwargs)
+
+
+class TestGraphRelease:
+    def test_training_step_leaves_no_cyclic_garbage(self):
+        # Backward consumes the graph, so a step's activations are freed by
+        # reference counting and the cyclic collector finds nothing.
+        net = M.DGNet(M.ModelConfig(input_size=32, channels=(4, 8, 8, 16), latent_dim=6,
+                                    family="gauss"), seed=0)
+        opt = trainer.Adam(net.params)
+        rng = Rng(1)
+        images = Tensor(rng.uniform((2, 1, 32, 32)).astype(np.float32))
+        masks = Tensor((rng.uniform((2, 1, 32, 32)) < 0.3).astype(np.float32))
+        noise = M.frozen_latent_noise(net, 2, rng.split("noise"))
+        gc.collect()
+        gc.disable()
+        try:
+            loss, kl, nll = M.elbo_loss(net, images, masks, noise)
+            opt.zero_grad()
+            loss.backward()
+            opt.step(1e-3)
+            del loss, kl, nll
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_zero_grad_reuses_gradient_buffers(self):
+        p = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        (p * p).sum().backward()
+        buffer = p.grad
+        opt = trainer.Adam({"p": p})
+        opt.zero_grad()
+        assert p.grad is buffer
+        np.testing.assert_array_equal(buffer, [0.0, 0.0])
 
 
 class TestAdam:
