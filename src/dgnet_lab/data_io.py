@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from collections.abc import Iterator
 from pathlib import Path
@@ -31,6 +32,19 @@ def ensure_dir(path) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
     return p
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over `path`,
+    so a write that fails leaves any previous file as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # -- PGM ----------------------------------------------------------------------
@@ -183,12 +197,7 @@ def _config_block(config: M.ModelConfig) -> bytes:
         ("family", config.family),
         ("input_size", config.input_size),
         ("channels", ",".join(str(c) for c in config.channels)),
-        ("kernel", config.kernel),
-        ("stride", config.stride),
-        ("pad", config.pad),
         ("latent_dim", config.latent_dim),
-        ("kl_weight", repr(float(config.kl_weight))),
-        ("leaky_slope", repr(float(config.leaky_slope))),
     ]
     return "".join(f"{k}={v}\n" for k, v in fields).encode("utf-8")
 
@@ -200,6 +209,11 @@ def _decode(blob: bytes, what: str) -> str:
         raise FormatError(f"{what} is not UTF-8: {exc}") from exc
 
 
+# Fixed values that older 9-key config blocks also stored; such a block must
+# hold exactly these. Its `kl_weight` (a training setting) is ignored.
+_FIXED_KEYS = {"kernel": int, "stride": int, "pad": int, "leaky_slope": float}
+
+
 def _config_from_block(blob: bytes) -> M.ModelConfig:
     kv = {}
     for line in _decode(blob, "checkpoint config block").splitlines():
@@ -208,16 +222,15 @@ def _config_from_block(blob: bytes) -> M.ModelConfig:
         key, _, value = line.partition("=")
         kv[key] = value
     try:
+        for key, parse in _FIXED_KEYS.items():
+            fixed = getattr(M.ModelConfig, key)
+            if key in kv and parse(kv[key]) != fixed:
+                raise ValueError(f"{key}={kv[key]}, but {key} is fixed at {fixed}")
         return M.ModelConfig(
             input_size=int(kv["input_size"]),
             channels=tuple(int(c) for c in kv["channels"].split(",")),
-            kernel=int(kv["kernel"]),
-            stride=int(kv["stride"]),
-            pad=int(kv["pad"]),
             latent_dim=int(kv["latent_dim"]),
             family=kv["family"],
-            kl_weight=float(kv["kl_weight"]),
-            leaky_slope=float(kv["leaky_slope"]),
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad checkpoint config block: {exc}") from exc
@@ -244,7 +257,7 @@ def checkpoint_bytes(model: M.DGNet) -> bytes:
 
 
 def save_checkpoint(model: M.DGNet, path) -> None:
-    Path(path).write_bytes(checkpoint_bytes(model))
+    write_atomic(path, checkpoint_bytes(model))
 
 
 def load_checkpoint(path) -> M.DGNet:

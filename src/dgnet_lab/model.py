@@ -1,14 +1,15 @@
 """Inference/generative segmentation network and its training loss.
 
-The encoder maps an intensity image through four stride-2 conv+BN+LeakyReLU
-blocks and a dense head to a 2-channel latent parameterization (location and
-log-scale). The decoder inverts that path with transposed convolutions and a
-final sigmoid, emitting a per-pixel oil probability map.
+The encoder maps an intensity image through four conv+BN+LeakyReLU blocks of
+fixed geometry (4x4 kernel, stride 2, padding 1, slope 0.2) and a dense head to
+a 2-channel latent parameterization (location and log-scale). The decoder
+inverts that path with transposed convolutions and a final sigmoid, emitting a
+per-pixel oil probability map.
 
-Two latent families are supported: a Gaussian baseline and an exponential
-family matching the physical backscatter law. The loss is the negative
-single-sample ELBO estimate: per-pixel Bernoulli NLL of the ground-truth mask
-plus a weighted KL between the latent posterior and its prior.
+Two latent families are supported: a Gaussian baseline with an N(0,1) prior
+and an exponential family with an Exp(1) prior, matching the physical
+backscatter law. The loss is the negative single-sample ELBO estimate: the
+per-pixel Bernoulli NLL of the mask plus the KL weighted by the caller's beta.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,13 +35,14 @@ _PROB_EPS = 1e-7          # probability clamp for the Bernoulli NLL
 class ModelConfig:
     input_size: int = 256
     channels: tuple[int, ...] = (16, 32, 64, 128)
-    kernel: int = 4
-    stride: int = 2
-    pad: int = 1
     latent_dim: int = 128
     family: str = "exp"
-    kl_weight: float = 1.0
-    leaky_slope: float = 0.2
+
+    # Fixed block geometry: the four blocks must halve the side exactly.
+    kernel: ClassVar[int] = 4
+    stride: ClassVar[int] = 2
+    pad: ClassVar[int] = 1
+    leaky_slope: ClassVar[float] = 0.2
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -48,13 +51,10 @@ class ModelConfig:
             raise ValueError("latent_dim must be >= 1")
         if len(self.channels) != 4:
             raise ValueError(f"expected 4 encoder channel counts, got {self.channels}")
-        if min(self.channels) < 1 or self.kernel < 1:
-            raise ValueError(f"channel counts and kernel must be >= 1, got "
-                             f"{self.channels} and {self.kernel}")
+        if min(self.channels) < 1:
+            raise ValueError(f"channel counts must be >= 1, got {self.channels}")
         if self.input_size % 16 != 0 or self.input_size < 16:
             raise ValueError(f"input_size must be a positive multiple of 16, got {self.input_size}")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be non-negative")
 
     @property
     def seed_size(self) -> int:
@@ -69,18 +69,6 @@ class LatentParams:
     c0: Tensor    # channel 0: location (gauss) / log-mean (exp)
     c1: Tensor    # channel 1: log-scale (unused by the exp family)
     family: str
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    family: str
-    rate: float = 1.0      # exp family: prior rate per dimension
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.rate <= 0:
-            raise ValueError("prior rate must be positive")
 
 
 def _bn_layout(name, channels):
@@ -223,43 +211,39 @@ def frozen_latent_noise(model: DGNet, batch: int, rng: Rng) -> np.ndarray:
     return rng.uniform(shape)
 
 
-def sample_latent(lp: LatentParams, rng: Rng | None, noise: np.ndarray | None = None) -> Tensor:
-    """Reparameterized draw from the latent posterior.
+def sample_latent(lp: LatentParams, noise: np.ndarray) -> Tensor:
+    """Reparameterized draw from the latent posterior, given `noise` drawn by
+    frozen_latent_noise: eps ~ N(0,1) (gauss) or u ~ U(0,1) (exp).
 
-    Gaussian: z = c0 + exp(clamp(c1)) * eps with eps ~ N(0,1).
+    Gaussian: z = c0 + exp(clamp(c1)) * eps.
     Exponential: z = -mean * ln(1-u) with mean = exp(clamp(c0)); the second
     channel is architectural parity only (an exponential's scale is its mean).
     """
     if lp.family not in FAMILIES:
         raise ValueError(f"unknown latent family {lp.family!r}")
-    shape = lp.c0.shape
     dtype = lp.c0.dtype
     if lp.family == "gauss":
-        eps = noise if noise is not None else rng.normal(shape)
         s = lp.c1.clamp(-_CLAMP, _CLAMP).exp()
-        return lp.c0 + s * Tensor(np.asarray(eps, dtype=dtype))
-    u = noise if noise is not None else rng.uniform(shape)
-    factor = -np.log1p(-np.asarray(u, dtype=np.float64))
+        return lp.c0 + s * Tensor(np.asarray(noise, dtype=dtype))
+    factor = -np.log1p(-np.asarray(noise, dtype=np.float64))
     m = lp.c0.clamp(-_CLAMP, _CLAMP).exp()
     return m * Tensor(factor.astype(dtype))
 
 
-def kl_term(lp: LatentParams, prior: PriorSpec) -> Tensor:
+def kl_term(lp: LatentParams) -> Tensor:
     """KL(posterior || prior), summed over latent dimensions, mean over batch.
 
     Gaussian vs N(0,1): sum 0.5 * (mu^2 + s^2 - ln s^2 - 1).
-    Exponential with mean m vs rate-r prior: sum (-ln m - ln r + r*m - 1),
-    i.e. KL(Exp(1/m) || Exp(r)).
+    Exponential with mean m vs the rate-1 prior: sum (m - ln m - 1),
+    i.e. KL(Exp(1/m) || Exp(1)).
     """
-    if lp.family != prior.family:
-        raise ValueError(f"family mismatch: latent {lp.family!r} vs prior {prior.family!r}")
     n = lp.c0.shape[0]
     if lp.family == "gauss":
         c1 = lp.c1.clamp(-_CLAMP, _CLAMP)
         per_elem = 0.5 * (lp.c0 * lp.c0 + (2.0 * c1).exp() - 2.0 * c1 - 1.0)
     else:
         c0 = lp.c0.clamp(-_CLAMP, _CLAMP)
-        per_elem = prior.rate * c0.exp() - c0 - (1.0 + math.log(prior.rate))
+        per_elem = c0.exp() - c0 - 1.0
     return per_elem.sum() / n
 
 
@@ -273,15 +257,16 @@ def seg_nll(prob: Tensor, gt_mask: Tensor) -> Tensor:
     return per_pixel.mean()
 
 
-def elbo_loss(model: DGNet, image: Tensor, gt_mask: Tensor, noise: np.ndarray):
+def elbo_loss(model: DGNet, image: Tensor, gt_mask: Tensor, noise: np.ndarray,
+              beta: float):
     """Negative single-sample ELBO estimate in train mode, with the latent drawn
     from `noise` (see frozen_latent_noise): (loss, kl, nll), loss = nll + beta*kl."""
     lp = model.encode(image, train=True)
-    z = sample_latent(lp, None, noise=noise)
+    z = sample_latent(lp, noise)
     prob = model.decode(z, train=True)
     nll = seg_nll(prob, gt_mask)
-    kl = kl_term(lp, PriorSpec(family=model.config.family))
-    loss = nll + model.config.kl_weight * kl
+    kl = kl_term(lp)
+    loss = nll + beta * kl
     return loss, kl, nll
 
 

@@ -5,16 +5,18 @@ arithmetic, sigmoid / leaky ReLU / exp / log / clamp, dense layers, strided
 2-D convolution and its transpose, batch normalization, and full-graph
 backpropagation with a finite-difference checker.
 
-Every op output is scanned for NaN/Inf when it is made. Backward consumes
-the graph: each node it visits drops its backward closure and its parents, so
-a step's activations are freed by reference counting once the caller lets go
-of the loss.
+Every op output is scanned for NaN/Inf when it is made. Backward closures
+hold their outputs weakly, so a graph has no reference cycles and is freed by
+reference counting, whether or not backward ran. Backward consumes the graph:
+each node it visits drops its backward closure and its parents.
 
 Tensors default to 32-bit floats; float64 is supported so gradient checks can
 run the same graph at higher precision.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -37,7 +39,7 @@ def _as_float_array(data, dtype):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _op=None):
         self.data = _as_float_array(data, dtype)
@@ -84,12 +86,14 @@ class Tensor:
         """Output of the op named `op`; its finiteness is scanned here, once.
 
         `backward(g)` adds the parents' gradients given the output's gradient
-        `g`; it is attached only when some parent requires a gradient.
+        `g`; it is attached only when some parent requires a gradient, and it
+        holds the output weakly, so the output and its closure form no cycle.
         """
         out = Tensor(data, _parents=parents, _op=op)
         if out._parents:            # the parents that require a gradient
             out.requires_grad = True
-            out._backward_fn = lambda: backward(out.grad)
+            ref = weakref.ref(out)
+            out._backward_fn = lambda: backward(ref().grad)
         return out
 
     # -- elementwise arithmetic ---------------------------------------------
@@ -173,9 +177,8 @@ class Tensor:
     def sigmoid(self):
         # Split by sign so neither exponential can overflow.
         x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        y = y.astype(x.dtype)
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype)
 
         def backward(g):
             self._accum_grad(g * y * (1.0 - y))
@@ -477,7 +480,7 @@ def finite_difference_check(loss_fn, params, h=1e-3):
     return worst
 
 
-def grad_check(model, image, gt_mask, rng=None):
+def grad_check(model, image, gt_mask, rng):
     """Finite-difference check of the model's full training loss.
 
     Runs the graph in float64 (the engine's verification precision) with a
@@ -488,18 +491,16 @@ def grad_check(model, image, gt_mask, rng=None):
     by construction. Returns the max relative error over parameters.
     """
     from . import model as model_mod
-    from .rng import Rng
 
-    check_rng = rng if rng is not None else Rng(0)
     m64 = model.astype(np.float64)
-    jitter_rng = check_rng.split("jitter")
+    jitter_rng = rng.split("jitter")
     for p in m64.parameters().values():
         p.data = p.data + 0.05 * jitter_rng.normal(p.data.shape)
     img = Tensor(np.asarray(image, dtype=np.float64))
     gt = Tensor(np.asarray(gt_mask, dtype=np.float64))
-    noise = model_mod.frozen_latent_noise(m64, img.shape[0], check_rng.split("noise"))
+    noise = model_mod.frozen_latent_noise(m64, img.shape[0], rng.split("noise"))
 
     def loss_fn():
-        return model_mod.elbo_loss(m64, img, gt, noise)[0]
+        return model_mod.elbo_loss(m64, img, gt, noise, 1.0)[0]
 
     return finite_difference_check(loss_fn, m64.parameters(), h=1e-5)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import data_io
 from . import model as M
 from .rng import Rng
 from .tensor import Tensor
@@ -119,8 +120,7 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
-    model_config = replace(model_config, family=train_config.family,
-                           kl_weight=train_config.beta)
+    model_config = replace(model_config, family=train_config.family)
     model = M.DGNet(model_config, seed=train_config.seed)
     master = Rng(train_config.seed)
     noise_rng = master.split("latent-noise")
@@ -136,7 +136,7 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
             idx = order[start:start + train_config.batch_size]
             images, masks = _batch_tensors(dataset, idx)
             noise = M.frozen_latent_noise(model, len(idx), noise_rng.split(("draw", epoch, start)))
-            loss, kl, nll = M.elbo_loss(model, images, masks, noise)
+            loss, kl, nll = M.elbo_loss(model, images, masks, noise, train_config.beta)
             opt.zero_grad()
             loss.backward()
             opt.step(train_config.learning_rate)
@@ -146,10 +146,8 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
                                    kl=sums[1] / batches, nll=sums[2] / batches))
 
     if train_config.curve_path:
-        with open(train_config.curve_path, "w", newline="") as fh:
-            fh.write(curve_csv_text(records))
+        data_io.write_atomic(train_config.curve_path, curve_csv_text(records).encode("ascii"))
     if train_config.checkpoint_path:
-        from . import data_io
         data_io.save_checkpoint(model, train_config.checkpoint_path)
     return model, records
 

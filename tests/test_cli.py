@@ -127,6 +127,21 @@ class TestSegmentInputs:
         assert len(err) == 1 and err[0].startswith("error: truncated checkpoint")
 
 
+    @pytest.mark.parametrize("line", [b"stride=3\n", b"leaky_slope=0.1\n"])
+    def test_checkpoint_with_other_fixed_geometry(self, tmp_path, capsys, line):
+        blob = data_io.checkpoint_bytes(M.DGNet(self.CFG))
+        (n,) = struct.unpack_from("<I", blob, 8)
+        block = blob[12:12 + n] + line
+        (tmp_path / "m.dgnt").write_bytes(blob[:8] + struct.pack("<I", len(block)) + block
+                                          + blob[12 + n:])
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "x.pgm", bit_depth=16)
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"),
+                    "--data", str(tmp_path / "x.pgm"), "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad checkpoint config block")
+
+
 class TestEval:
     def test_identical_dirs_score_one(self, tmp_path, capsys):
         gt = tmp_path / "gt"

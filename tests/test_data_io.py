@@ -1,3 +1,7 @@
+import contextlib
+import os
+import resource
+import signal
 import struct
 
 import numpy as np
@@ -5,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgnet_lab import data_io, speckle
+from dgnet_lab import data_io, speckle, trainer
 from dgnet_lab import model as M
 from dgnet_lab.data_io import FormatError
 from dgnet_lab.rng import Rng
@@ -126,7 +130,6 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_model_predicts_identically(self, tmp_path):
-        from dgnet_lab import trainer
         net = M.DGNet(self.CFG, seed=3)
         path = tmp_path / "m.dgnt"
         data_io.save_checkpoint(net, path)
@@ -158,6 +161,28 @@ class TestCheckpoint:
         p.write_bytes(blob[:-10])
         with pytest.raises(FormatError):
             data_io.load_checkpoint(p)
+
+    def test_legacy_nine_key_block_loads(self, tmp_path):
+        # The block layout written while kernel, stride, pad and leaky_slope
+        # were settable and the KL weight was a model setting; the tensors
+        # that follow it are unchanged.
+        net = M.DGNet(self.CFG, seed=3)
+        blob = data_io.checkpoint_bytes(net)
+        (n,) = struct.unpack_from("<I", blob, 8)
+        legacy = _with_config_text(blob, blob[12:12 + n], (
+            b"family=exp\ninput_size=32\nchannels=4,8,8,16\nkernel=4\nstride=2\npad=1\n"
+            b"latent_dim=6\nkl_weight=0.25\nleaky_slope=0.2\n"))
+        path = tmp_path / "old.dgnt"
+        path.write_bytes(legacy)
+        loaded = data_io.load_checkpoint(path)
+        assert loaded.config == self.CFG
+        for name, arr in net.state_tensors().items():
+            np.testing.assert_array_equal(loaded.state_tensors()[name], arr)
+        img = Rng(45).uniform((32, 32)).astype(np.float32)
+        np.testing.assert_array_equal(trainer.segment(loaded, img)[1],
+                                      trainer.segment(net, img)[1])
+        data_io.save_checkpoint(loaded, path)
+        assert path.read_bytes() == blob
 
     def test_trailing_garbage_rejected(self, tmp_path):
         net = M.DGNet(self.CFG, seed=3)
@@ -208,7 +233,10 @@ def _with_config_text(blob: bytes, old: bytes, new: bytes) -> bytes:
 
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("old, new", [(b"family=exp", b"family=\xffxp"),
-                                          (b"channels=2,", b"channels=-2,")])
+                                          (b"channels=2,", b"channels=-2,"),
+                                          (b"latent_dim=2\n", b"latent_dim=2\nstride=3\n"),
+                                          (b"latent_dim=2\n",
+                                           b"latent_dim=2\nleaky_slope=0.1\n")])
     def test_bad_config_block(self, tmp_path, old, new):
         (tmp_path / "m.dgnt").write_bytes(_with_config_text(_tiny_checkpoint(), old, new))
         with pytest.raises(FormatError):
@@ -227,6 +255,41 @@ class TestMalformedCheckpoint:
         (tmp_path / "m.dgnt").write_bytes(data_io.checkpoint_bytes(net))
         with pytest.raises(FormatError):
             data_io.load_checkpoint(tmp_path / "m.dgnt")
+
+
+@contextlib.contextmanager
+def _file_size_limit(nbytes):
+    """Make writes past `nbytes` into any file fail with EFBIG, as on a full disk."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+class TestAtomicWrites:
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.dgnt"
+        data_io.save_checkpoint(M.DGNet(_TINY, seed=1), path)
+        before = path.read_bytes()
+        with _file_size_limit(len(before) // 2), pytest.raises(OSError):
+            data_io.save_checkpoint(M.DGNet(_TINY, seed=2), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.dgnt"]
+
+    def test_failed_curve_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("epoch,loss,kl,nll\n")
+        data = [(Rng(i).uniform((16, 16)).astype(np.float32),
+                 (Rng(i).uniform((16, 16)) < 0.3).astype(np.uint8)) for i in range(2)]
+        config = trainer.TrainConfig(epochs=1, curve_path=str(path))
+        with _file_size_limit(24), pytest.raises(OSError):
+            trainer.train(data, _TINY, config)
+        assert path.read_text() == "epoch,loss,kl,nll\n"
+        assert os.listdir(tmp_path) == ["curve.csv"]
 
 
 # Property tests: any byte string read as a PGM, checkpoint or manifest gives a
