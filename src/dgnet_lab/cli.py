@@ -85,12 +85,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dataset = data_io.load_dataset(args.data, input_size=args.size)
     model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent)
     train_config = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
         beta=args.beta, family=args.family, seed=args.seed,
         curve_path=args.curve, checkpoint_path=args.out)
+    dataset = data_io.load_dataset(args.data, input_size=args.size)
     _, records = trainer.train(dataset, model_config, train_config)
     print(f"trained {args.epochs} epochs on {len(dataset)} samples; "
           f"final loss {records[-1].loss:.6g} (kl {records[-1].kl:.6g}, "
@@ -101,6 +101,8 @@ def _cmd_train(args) -> int:
 def _cmd_segment(args) -> int:
     """Each image is resampled to the model's size, and its mask back to the
     image's own size, so masks line up with source-size ground truth."""
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"threshold must be a finite value in [0, 1], got {args.threshold}")
     net = data_io.load_checkpoint(args.model)
     data_path = Path(args.data)
     if data_path.suffix.lower() == ".pgm":

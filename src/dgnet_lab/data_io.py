@@ -285,6 +285,12 @@ def load_checkpoint(path) -> M.DGNet:
 
     model = M.DGNet(config, _init=False)
     expected = model.state_tensors()
+    # Older exp checkpoints have a Gaussian-width enc.fc head; they load with
+    # its c0 half, the first latent_dim columns, which is all exp ever read.
+    wide = {}
+    if config.family == "exp":
+        wide = {name: expected[name].shape[:-1] + (2 * config.latent_dim,)
+                for name in ("enc.fc.w", "enc.fc.b")}
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
         raise FormatError(f"checkpoint holds {count} tensors, architecture needs {len(expected)}")
@@ -299,12 +305,12 @@ def load_checkpoint(path) -> M.DGNet:
         seen.add(name)
         (rank,) = struct.unpack("<I", read_exact(4, "tensor rank"))
         shape = tuple(struct.unpack("<I", read_exact(4, "tensor dim"))[0] for _ in range(rank))
-        if shape != expected[name].shape:
-            raise FormatError(f"tensor {name!r} has shape {shape}, "
-                              f"architecture needs {expected[name].shape}")
+        arch = expected[name].shape
+        if shape != arch and shape != wide.get(name):
+            raise FormatError(f"tensor {name!r} has shape {shape}, architecture needs {arch}")
         n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
         payload = read_exact(4 * n_items, f"tensor {name!r} payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+        arr = np.frombuffer(payload, dtype="<f4").reshape(shape)[..., :arch[-1]].astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"tensor {name!r} holds non-finite values")
         if name in model.params:

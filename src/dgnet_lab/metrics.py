@@ -85,10 +85,6 @@ def score(counts: ConfusionCounts) -> MetricsReport:
                          recall=recall, f1=f1, iou=iou, rfr=iou)
 
 
-def evaluate(gt, pred) -> MetricsReport:
-    return score(confusion(gt, pred))
-
-
 def _distribution(values) -> dict:
     v = np.asarray(values, dtype=np.float64)
     q1, med, q3 = np.percentile(v, (25, 50, 75))
@@ -106,7 +102,7 @@ def batch_eval(pairs):
     summaries (with 1.5*IQR outlier counts) of per-image accuracy and IoU."""
     if len(pairs) == 0:
         raise ValueError("batch_eval needs at least one (gt, pred) pair")
-    reports = [evaluate(gt, pred) for gt, pred in pairs]
+    reports = [score(confusion(gt, pred)) for gt, pred in pairs]
     pooled_counts = reports[0].counts
     for r in reports[1:]:
         pooled_counts = pooled_counts + r.counts

@@ -2,7 +2,8 @@
 
 The encoder maps an intensity image through four conv+BN+LeakyReLU blocks of
 fixed geometry (4x4 kernel, stride 2, padding 1, slope 0.2) and a dense head to
-a 2-channel latent parameterization (location and log-scale). The decoder
+the latent posterior's parameters: one channel (log-mean) for the exponential
+family, two (location and log-scale) for the Gaussian. The decoder
 inverts that path with transposed convolutions and a final sigmoid, emitting a
 per-pixel oil probability map.
 
@@ -64,10 +65,11 @@ class ModelConfig:
 
 @dataclass
 class LatentParams:
-    """Per-sample 2-channel latent distribution parameters."""
+    """Per-sample latent posterior parameters: two channels for the Gaussian
+    family, one for the exponential (an exponential's scale is its mean)."""
 
-    c0: Tensor    # channel 0: location (gauss) / log-mean (exp)
-    c1: Tensor    # channel 1: log-scale (unused by the exp family)
+    c0: Tensor            # location (gauss) / log-mean (exp)
+    c1: Tensor | None     # log-scale (gauss); None for exp
     family: str
 
 
@@ -82,9 +84,10 @@ def state_layout(config: ModelConfig):
     """Yield (name, shape, init) for every parameter and batch-norm buffer.
 
     `init` is a constant fill value, or (rng label, fan-in) for a weight drawn
-    uniformly from +-sqrt(1/fan-in). Names ending in `.running_mean` or
-    `.running_var` are buffers. Parameters come in checkpoint order, and so do
-    buffers.
+    uniformly from +-sqrt(1/fan-in). A third item, the drawn shape, makes the
+    weight the leading columns of a wider draw. Names ending in `.running_mean`
+    or `.running_var` are buffers. Parameters come in checkpoint order, and so
+    do buffers.
     """
     k = config.kernel
     chans = (1,) + tuple(config.channels)
@@ -94,8 +97,11 @@ def state_layout(config: ModelConfig):
         yield f"enc.conv{i}.b", (c_out,), 0.0
         yield from _bn_layout(f"enc.bn{i}", c_out)
     flat = config.channels[-1] * config.seed_size ** 2
-    yield "enc.fc.w", (flat, 2 * config.latent_dim), ("encfc", flat)
-    yield "enc.fc.b", (2 * config.latent_dim,), 0.0
+    head = config.latent_dim * (2 if config.family == "gauss" else 1)
+    # The exp head is the c0 half of the Gaussian-width draw: a draw of its own
+    # shape would give every seed other weights, curves and masks.
+    yield "enc.fc.w", (flat, head), ("encfc", flat, (flat, 2 * config.latent_dim))
+    yield "enc.fc.b", (head,), 0.0
     yield "dec.fc.w", (config.latent_dim, flat), ("decfc", config.latent_dim)
     yield "dec.fc.b", (flat,), 0.0
     dchans = tuple(reversed(config.channels)) + (1,)
@@ -125,18 +131,16 @@ class DGNet:
             elif rng is None:
                 data = np.zeros(shape, dtype=self.dtype)
             else:
-                key, fan_in = init
+                key, fan_in, *drawn = init
                 bound = math.sqrt(1.0 / fan_in)
-                data = ((rng.split(key).uniform(shape) * 2.0 - 1.0) * bound).astype(self.dtype)
+                u = rng.split(key).uniform(drawn[0] if drawn else shape)[..., :shape[-1]]
+                data = ((u * 2.0 - 1.0) * bound).astype(self.dtype)
             if name.endswith((".running_mean", ".running_var")):
                 self.buffers[name] = data
             else:
                 self.params[name] = Tensor(data, requires_grad=True)
 
     # -- persistence helpers -------------------------------------------------
-
-    def parameters(self) -> "OrderedDict[str, Tensor]":
-        return self.params
 
     def state_tensors(self) -> "OrderedDict[str, np.ndarray]":
         """All named arrays (parameters + buffers) in a stable order."""
@@ -174,6 +178,8 @@ class DGNet:
         n = x.shape[0]
         x = x.reshape(n, cfg.channels[-1] * cfg.seed_size ** 2)
         head = T.dense(x, self.params["enc.fc.w"], self.params["enc.fc.b"])
+        if cfg.family == "exp":
+            return LatentParams(c0=head, c1=None, family=cfg.family)
         c0 = head.slice_cols(0, cfg.latent_dim)
         c1 = head.slice_cols(cfg.latent_dim, 2 * cfg.latent_dim)
         return LatentParams(c0=c0, c1=c1, family=cfg.family)
@@ -216,8 +222,8 @@ def sample_latent(lp: LatentParams, noise: np.ndarray) -> Tensor:
     frozen_latent_noise: eps ~ N(0,1) (gauss) or u ~ U(0,1) (exp).
 
     Gaussian: z = c0 + exp(clamp(c1)) * eps.
-    Exponential: z = -mean * ln(1-u) with mean = exp(clamp(c0)); the second
-    channel is architectural parity only (an exponential's scale is its mean).
+    Exponential: z = -mean * ln(1-u) with mean = exp(clamp(c0)), from the one
+    channel c0 (an exponential's scale is its mean).
     """
     if lp.family not in FAMILIES:
         raise ValueError(f"unknown latent family {lp.family!r}")

@@ -73,6 +73,9 @@ class SceneConfig:
     mask_fraction_bounds: tuple[float, float] = (0.05, 0.30)
 
     def __post_init__(self):
+        for name in ("sea_mean", "oil_contrast", "lookalike_contrast"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.size < 8:
             raise ValueError(f"scene size must be >= 8, got {self.size}")
         if self.sea_mean <= 0:

@@ -16,6 +16,7 @@ run the same graph at higher precision.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -29,20 +30,18 @@ class NonFiniteError(FloatingPointError):
     """Raised when a forward op produces NaN or Inf."""
 
 
-def _as_float_array(data, dtype):
+def _as_float_array(data):
     arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(dtype if dtype is not None else np.float32)
-    elif dtype is not None and arr.dtype != dtype:
-        arr = arr.astype(dtype)
+        arr = arr.astype(np.float32)
     return arr
 
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _op=None):
-        self.data = _as_float_array(data, dtype)
+    def __init__(self, data, requires_grad=False, _parents=(), _op=None):
+        self.data = _as_float_array(data)
         if not np.isfinite(self.data).all():
             raise NonFiniteError(f"{_op} produced non-finite values" if _op
                                  else "tensor holds non-finite values")
@@ -75,9 +74,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g.astype(self.data.dtype, copy=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- graph construction ------------------------------------------------
 
@@ -456,7 +452,7 @@ def finite_difference_check(loss_fn, params, h=1e-3):
     """
     items = [p for p in params.values() if p.requires_grad]
     for p in items:
-        p.zero_grad()
+        p.grad = None
     loss_fn().backward()
 
     worst = 0.0
@@ -494,8 +490,13 @@ def grad_check(model, image, gt_mask, rng):
 
     m64 = model.astype(np.float64)
     jitter_rng = rng.split("jitter")
-    for p in m64.parameters().values():
-        p.data = p.data + 0.05 * jitter_rng.normal(p.data.shape)
+    # Jitter is drawn in the Gaussian layout's shapes and cropped to the
+    # model's, as the exp head's init is, so a seed's jitter of each weight
+    # that the loss reads does not depend on the head's width.
+    gauss = dataclasses.replace(model.config, family="gauss")
+    drawn = {name: shape for name, shape, _ in model_mod.state_layout(gauss)}
+    for name, p in m64.params.items():
+        p.data = p.data + 0.05 * jitter_rng.normal(drawn[name])[..., :p.shape[-1]]
     img = Tensor(np.asarray(image, dtype=np.float64))
     gt = Tensor(np.asarray(gt_mask, dtype=np.float64))
     noise = model_mod.frozen_latent_noise(m64, img.shape[0], rng.split("noise"))
@@ -503,4 +504,4 @@ def grad_check(model, image, gt_mask, rng):
     def loss_fn():
         return model_mod.elbo_loss(m64, img, gt, noise, 1.0)[0]
 
-    return finite_difference_check(loss_fn, m64.parameters(), h=1e-5)
+    return finite_difference_check(loss_fn, m64.params, h=1e-5)

@@ -6,6 +6,7 @@ single composed loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,9 @@ class TrainConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -142,6 +142,49 @@ class TestSegmentInputs:
         assert len(err) == 1 and err[0].startswith("error: bad checkpoint config block")
 
 
+class TestNonFiniteSettings:
+    """A NaN or infinite setting ends the command before any work: exit 1, one
+    stderr line that names the setting, and nothing written."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, name", [("--sea-mean", "sea_mean"),
+                                            ("--oil-contrast", "oil_contrast"),
+                                            ("--lookalike-contrast", "lookalike_contrast")])
+    def test_synth(self, tmp_path, capsys, flag, name, value):
+        code = cli(["synth", "--out", str(tmp_path / "ds"), "--count", "1", "--size", "16",
+                    flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag, name", [("--lr", "learning_rate"), ("--beta", "beta")])
+    def test_train(self, tmp_path, capsys, flag, name, value):
+        ds = tmp_path / "ds"
+        assert cli(["synth", "--out", str(ds), "--count", "2", "--size", "16"]) == 0
+        capsys.readouterr()
+        code = cli(["train", "--data", str(ds / "manifest.tsv"), "--out",
+                    str(tmp_path / "m.dgnt"), "--curve", str(tmp_path / "curve.csv"),
+                    "--epochs", "1", "--size", "16", "--latent", "2", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and name in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
+    def test_segment_threshold(self, tmp_path, capsys, value):
+        data_io.save_checkpoint(M.DGNet(TestSegmentInputs.CFG), tmp_path / "m.dgnt")
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "x.pgm", bit_depth=16)
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"), "--data",
+                    str(tmp_path / "x.pgm"), "--out", str(tmp_path / "pred"),
+                    "--threshold", value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "threshold" in err[0]
+        assert not (tmp_path / "pred").exists()
+
+
 class TestEval:
     def test_identical_dirs_score_one(self, tmp_path, capsys):
         gt = tmp_path / "gt"
@@ -194,6 +237,12 @@ class TestGradcheck:
         out = capsys.readouterr().out
         err = float(out.split(":")[1].split("(")[0])
         assert err < 1e-3
+
+    def test_default_seed_passes(self, capsys):
+        # The jitter drawn before the check must not depend on the exp head's
+        # width: drawn at the width of the model's own head, it fails here.
+        assert cli(["gradcheck"]) == 0
+        assert "5.551e-04" in capsys.readouterr().out
 
 
 class TestErrorContract:

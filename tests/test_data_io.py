@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import resource
 import signal
@@ -183,6 +184,31 @@ class TestCheckpoint:
                                       trainer.segment(net, img)[1])
         data_io.save_checkpoint(loaded, path)
         assert path.read_bytes() == blob
+
+    def test_wide_exp_head_loads_with_its_c0_half(self, tmp_path):
+        # Exp checkpoints were written with the Gaussian-width enc.fc head; a
+        # Gaussian file relabelled exp has that layout and the same weights.
+        gauss = M.DGNet(dataclasses.replace(self.CFG, family="gauss"), seed=3)
+        blob = data_io.checkpoint_bytes(gauss)
+        path = tmp_path / "old.dgnt"
+        path.write_bytes(_with_config_text(blob, b"family=gauss", b"family=exp"))
+        loaded = data_io.load_checkpoint(path)
+        net = M.DGNet(self.CFG, seed=3)
+        assert loaded.config == self.CFG
+        for name, arr in net.state_tensors().items():
+            np.testing.assert_array_equal(loaded.state_tensors()[name], arr)
+        img = Rng(46).uniform((32, 32)).astype(np.float32)
+        np.testing.assert_array_equal(trainer.segment(loaded, img)[0],
+                                      trainer.segment(net, img)[0])
+        data_io.save_checkpoint(loaded, path)
+        assert path.read_bytes() == data_io.checkpoint_bytes(net)
+
+    def test_slim_head_is_not_a_gauss_head(self, tmp_path):
+        blob = data_io.checkpoint_bytes(M.DGNet(self.CFG, seed=3))
+        path = tmp_path / "m.dgnt"
+        path.write_bytes(_with_config_text(blob, b"family=exp", b"family=gauss"))
+        with pytest.raises(FormatError):
+            data_io.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         net = M.DGNet(self.CFG, seed=3)

@@ -54,30 +54,73 @@ class TestModelConfig:
 
 
 class TestEncode:
-    def test_two_channels_of_latent_dim(self):
-        net = M.DGNet(SMALL, seed=0)
+    """Two latent channels for the Gaussian family, one for the exponential."""
+
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_channels_of_latent_dim(self, family):
+        net = M.DGNet(dataclasses.replace(SMALL, family=family), seed=0)
         lp = net.encode(rand_image(Rng(1)), train=True)
         assert lp.c0.shape == (1, SMALL.latent_dim)
-        assert lp.c1.shape == (1, SMALL.latent_dim)
-        assert lp.family == "exp"
+        if family == "gauss":
+            assert lp.c1.shape == (1, SMALL.latent_dim)
+        else:
+            assert lp.c1 is None
+        assert lp.family == family
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_deterministic(self, family):
+        cfg = dataclasses.replace(SMALL, family=family)
         img = rand_image(Rng(2))
-        a = M.DGNet(SMALL, seed=0).encode(img, train=False)
-        b = M.DGNet(SMALL, seed=0).encode(img, train=False)
+        a = M.DGNet(cfg, seed=0).encode(img, train=False)
+        b = M.DGNet(cfg, seed=0).encode(img, train=False)
         assert np.array_equal(a.c0.data, b.c0.data)
-        assert np.array_equal(a.c1.data, b.c1.data)
+        if family == "gauss":
+            assert np.array_equal(a.c1.data, b.c1.data)
+        else:
+            assert a.c1 is None and b.c1 is None
 
-    def test_finite_on_zero_image(self):
-        net = M.DGNet(SMALL, seed=0)
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_finite_on_zero_image(self, family):
+        net = M.DGNet(dataclasses.replace(SMALL, family=family), seed=0)
         lp = net.encode(Tensor(np.zeros((1, 1, 32, 32), np.float32)), train=True)
         assert np.all(np.isfinite(lp.c0.data))
-        assert np.all(np.isfinite(lp.c1.data))
+        if family == "gauss":
+            assert np.all(np.isfinite(lp.c1.data))
+        else:
+            assert lp.c1 is None
 
     def test_size_mismatch_rejected(self):
         net = M.DGNet(SMALL, seed=0)
         with pytest.raises(T.ShapeError):
             net.encode(Tensor(np.zeros((1, 1, 64, 64), np.float32)))
+
+
+class TestEncoderHead:
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_one_step_reaches_every_head_column(self, family):
+        # No head weight is left that no loss term reads.
+        net = M.DGNet(dataclasses.replace(SMALL, family=family), seed=0)
+        rng = Rng(8)
+        img, mask = rand_image(rng.split("img"), n=2), rand_mask(rng.split("mask"), n=2)
+        noise = M.frozen_latent_noise(net, 2, rng.split("noise"))
+        M.elbo_loss(net, img, mask, noise, 1.0)[0].backward()
+        grad = net.params["enc.fc.w"].grad
+        assert grad.shape[1] == SMALL.latent_dim * (2 if family == "gauss" else 1)
+        assert np.all(np.any(grad != 0, axis=0))
+
+    def test_exp_head_is_the_c0_half_of_the_gauss_draw(self):
+        exp = M.DGNet(SMALL, seed=5).state_tensors()
+        gauss = M.DGNet(dataclasses.replace(SMALL, family="gauss"), seed=5).state_tensors()
+        assert list(exp) == list(gauss)
+        for name, arr in gauss.items():
+            if name.startswith("enc.fc."):
+                arr = arr[..., :SMALL.latent_dim]
+            np.testing.assert_array_equal(exp[name], arr)
+
+    @pytest.mark.parametrize("family, count", [("exp", 872_097), ("gauss", 1_134_369)])
+    def test_parameter_count_at_64_px(self, family, count):
+        net = M.DGNet(M.ModelConfig(input_size=64, family=family))
+        assert sum(p.data.size for p in net.params.values()) == count
 
 
 class TestDecode:

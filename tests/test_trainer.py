@@ -159,8 +159,7 @@ class TestTrain:
         cfg = trainer.TrainConfig(epochs=2, seed=7)
         m1, r1 = trainer.train(data, SMALL_MODEL, cfg)
         m2, r2 = trainer.train(data, SMALL_MODEL, cfg)
-        for (n1, p1), (n2, p2) in zip(m1.parameters().items(),
-                                      m2.parameters().items()):
+        for (n1, p1), (n2, p2) in zip(m1.params.items(), m2.params.items()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
         assert [(r.loss, r.kl, r.nll) for r in r1] == \
