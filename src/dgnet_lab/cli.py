@@ -8,6 +8,7 @@ error, 2 I/O error. All randomness is controlled by --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -173,6 +174,8 @@ def _cmd_distfit(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite positive value, got {args.tolerance}")
     config = M.ModelConfig(input_size=16, channels=(4, 8, 8, 16), latent_dim=8,
                            family="exp")
     net = M.DGNet(config, seed=args.seed)

@@ -433,7 +433,9 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x._accum_grad(g @ weight.data.T)
         if weight.requires_grad:
-            weight._accum_grad(x.data.T @ g)
+            # np.dot, not @: at batch 1 this is an outer product, which
+            # matmul runs through a slow K=1 loop and np.dot hands to BLAS.
+            weight._accum_grad(np.dot(x.data.T, g))
         if bias.requires_grad:
             bias._accum_grad(g.sum(axis=0))
     return Tensor._result(out_data, (x, weight, bias), "dense", backward)

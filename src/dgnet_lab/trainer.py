@@ -47,16 +47,30 @@ class TrainConfig:
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# Elements per block of the update: a float32 block of each of m, v, the
+# gradient, the parameter and the scratch buffer is 640 KiB, inside L2.
+_BLOCK = 32768
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    Every operation runs in the parameter's own dtype: the bias-correction
+    scalars are Python floats, which numpy casts to the array's dtype (NEP 50
+    treats them as weakly typed). A numpy scalar such as `np.sqrt(bc2)` is a
+    strongly typed float64 and would promote each float32 operation to a
+    float64 cast loop, slower and with bytes that follow numpy's promotion
+    rules. Each parameter is updated in blocks of `_BLOCK` elements through
+    one preallocated scratch buffer per dtype, so a step allocates no arrays.
+    """
 
     def __init__(self, params: dict):
         self.params = {name: p for name, p in params.items() if p.requires_grad}
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        # C order, so that the flat views `step` walks are views, not copies.
+        self.m = {name: np.zeros(p.shape, p.dtype) for name, p in self.params.items()}
+        self.v = {name: np.zeros(p.shape, p.dtype) for name, p in self.params.items()}
+        self._scratch = {p.dtype: np.empty(_BLOCK, p.dtype) for p in self.params.values()}
 
     def step(self, lr: float) -> None:
         self.step_count += 1
@@ -66,25 +80,38 @@ class Adam:
         # theta -= lr * m_hat / (sqrt(v_hat) + eps), with the bias corrections
         # folded into the step size: m_hat/(sqrt(v_hat)+eps)
         # == m*sqrt(bc2)/bc1 / (sqrt(v) + eps*sqrt(bc2)).
-        sqrt_bc2 = np.sqrt(bc2)
+        sqrt_bc2 = math.sqrt(bc2)
         step_size = lr * sqrt_bc2 / bc1
+        eps = _EPS * sqrt_bc2
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= _BETA1
-            m += (1.0 - _BETA1) * g
-            v *= _BETA2
-            v += (1.0 - _BETA2) * np.square(g)
-            denom = np.sqrt(v)
-            denom += _EPS * sqrt_bc2
-            np.divide(m, denom, out=denom)
-            denom *= step_size
-            p.data -= denom
+            g = g.reshape(-1)
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
+            theta = p.data.reshape(-1)    # a copy only if p.data is not C-contiguous
+            scratch = self._scratch[p.data.dtype]
+            for lo in range(0, theta.size, _BLOCK):
+                hi = lo + _BLOCK
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                s = scratch[:gb.size]
+                mb *= _BETA1
+                np.multiply(gb, 1.0 - _BETA1, out=s)
+                mb += s
+                vb *= _BETA2
+                np.square(gb, out=s)
+                s *= 1.0 - _BETA2
+                vb += s
+                np.sqrt(vb, out=s)
+                s += eps
+                np.divide(mb, s, out=s)
+                s *= step_size
+                theta[lo:hi] -= s
+            if not p.data.flags.c_contiguous:
+                p.data[...] = theta.reshape(p.shape)
 
     def zero_grad(self) -> None:
         """Zero each gradient in place, so its buffer is reused by the next step."""

@@ -184,6 +184,12 @@ class TestNonFiniteSettings:
         assert len(err) == 1 and "threshold" in err[0]
         assert not (tmp_path / "pred").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_gradcheck_tolerance(self, capsys, value):
+        assert cli(["gradcheck", f"--tolerance={value}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "tolerance" in err[0]
+
 
 class TestEval:
     def test_identical_dirs_score_one(self, tmp_path, capsys):

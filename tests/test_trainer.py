@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +136,74 @@ class TestAdam:
             v_hat = v / (1 - b2 ** t)
             ref -= 0.01 * m_hat / (np.sqrt(v_hat) + eps)
             np.testing.assert_allclose(p.data, ref.astype(np.float32), atol=1e-5)
+
+    def test_matches_op_by_op_adam_in_the_parameter_dtype(self):
+        # Oracle: Adam on whole arrays, one op at a time, with Python-float
+        # scalars, so every op runs in the parameter's dtype. The sizes span
+        # the optimizer's block edges; gradients mix zeros, all-zero steps and
+        # skipped (None) steps.
+        sizes = {"one": (1, np.float32), "three": (3, np.float32),
+                 "blocks": (2 * trainer._BLOCK + 5, np.float32), "wide": (7, np.float64)}
+        rng = Rng(5)
+        ref = {name: rng.normal((n,)).astype(dtype) for name, (n, dtype) in sizes.items()}
+        params = {name: Tensor(x.copy(), requires_grad=True) for name, x in ref.items()}
+        state = {name: (np.zeros_like(x), np.zeros_like(x)) for name, x in ref.items()}
+        opt = trainer.Adam(params)
+        lr = 1e-3
+        for t in range(1, 31):
+            for name, (n, dtype) in sizes.items():
+                g = rng.normal((n,)) * (rng.uniform((n,)) < 0.6) * (t % 7 != 0)
+                params[name].grad = None if name == "three" and t % 5 == 0 else g.astype(dtype)
+            opt.step(lr)
+            bc1 = 1.0 - 0.9 ** t
+            sqrt_bc2 = math.sqrt(1.0 - 0.999 ** t)
+            for name, p in params.items():
+                if p.grad is None:
+                    continue
+                m, v = state[name]
+                m = m * 0.9 + (1.0 - 0.9) * p.grad
+                v = v * 0.999 + (1.0 - 0.999) * np.square(p.grad)
+                ref[name] = ref[name] - m / (np.sqrt(v) + 1e-8 * sqrt_bc2) * (lr * sqrt_bc2 / bc1)
+                state[name] = (m, v)
+            for name, p in params.items():
+                assert p.data.dtype == sizes[name][1]
+                assert p.data.tobytes() == ref[name].tobytes(), (name, t)
+
+    def test_step_allocates_no_arrays(self):
+        net = M.DGNet(M.ModelConfig(input_size=64, family="exp"), seed=0)
+        rng = Rng(6)
+        for p in net.params.values():
+            p.grad = (rng.normal(p.shape) * 1e-3).astype(np.float32)
+        opt = trainer.Adam(net.params)
+        tracemalloc.start()
+        try:
+            opt.step(1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_wrong_gradient_shape_names_the_parameter(self):
+        p = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        p.grad = np.zeros(4, np.float32)
+        opt = trainer.Adam({"enc.w": p})
+        with pytest.raises(ValueError, match="gradient shape mismatch for enc.w"):
+            opt.step(0.1)
+
+    def test_non_contiguous_parameter_is_updated_in_place(self):
+        x = Rng(7).normal((3, 4)).astype(np.float32)
+        p = Tensor(x.T, requires_grad=True)
+        q = Tensor(np.ascontiguousarray(x.T), requires_grad=True)
+        before = q.data.copy()
+        opt_p, opt_q = trainer.Adam({"p": p}), trainer.Adam({"q": q})
+        for _ in range(3):
+            p.grad = np.sin(p.data)
+            q.grad = np.sin(q.data)
+            opt_p.step(0.1)
+            opt_q.step(0.1)
+        np.testing.assert_array_equal(p.data, q.data)
+        assert not np.array_equal(p.data, before)
+        assert np.shares_memory(p.data, x)
 
 
 class TestTrain:
