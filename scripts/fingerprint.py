@@ -1,5 +1,6 @@
-"""sha256 fingerprints of three seeded training runs, so that a claim of
-byte-identical (or of declared-changed) outputs is one command:
+"""sha256 fingerprints of three seeded training runs and two gradient-check
+values, so that a claim of byte-identical (or of declared-changed) outputs is
+one command:
 
     python3 scripts/fingerprint.py
 
@@ -13,9 +14,16 @@ then segments the next 40 (the held-out scenes):
 
 For each run it prints the sha256 of the checkpoint file, of the curve CSV
 and of the held-out masks (the uint8 bytes of each mask, in scene order, as
-perfbench digests a segment pass), then the final training loss. BLAS is
-pinned to one thread and dgnet_lab is imported from this checkout's `src/`.
-Takes about half a minute on one core.
+perfbench digests a segment pass), then the final training loss.
+
+It then prints the repr of `model.grad_check` (the max relative error between
+analytic and central-difference gradients) for two setups:
+
+- gradcheck-seed0: `dgnet gradcheck` at its default seed 0;
+- criterion-3: the acceptance suite's criterion 3 (model seed 1, rng seed 3).
+
+BLAS is pinned to one thread and dgnet_lab is imported from this checkout's
+`src/`. Takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -34,13 +42,17 @@ SEED = 42
 TRAIN_SCENES = 200
 HELDOUT_SCENES = 40
 RUNS = (("exp-b1-e2", "exp", 1, 2), ("exp-b8-e5", "exp", 8, 5), ("gauss-b8-e6", "gauss", 8, 6))
+# (name, model seed, rng seed) of each gradient check
+GRAD_CHECKS = (("gradcheck-seed0", 0, 0), ("criterion-3", 1, 3))
 
 
 def main() -> None:
     bootstrap.pin_threads()
     bootstrap.import_dgnet_lab()
+    import numpy as np
     from dgnet_lab import model as M
     from dgnet_lab import trainer
+    from dgnet_lab.rng import Rng
 
     import scenes
 
@@ -60,6 +72,13 @@ def main() -> None:
             print(f"{name} checkpoint {hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                   f"curve {hashlib.sha256(curve.read_bytes()).hexdigest()} "
                   f"masks {masks.hexdigest()} final_loss {float(records[-1].loss)!r}", flush=True)
+    config = M.ModelConfig(input_size=16, channels=(4, 8, 8, 16), latent_dim=8, family="exp")
+    for name, model_seed, rng_seed in GRAD_CHECKS:
+        rng = Rng(rng_seed)
+        image = rng.split("image").uniform((1, 1, 16, 16))
+        mask = (rng.split("mask").uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
+        err = M.grad_check(M.DGNet(config, seed=model_seed), image, mask, rng=rng)
+        print(f"{name} max_rel_error {err!r}", flush=True)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import data_io, metrics, model as M, speckle, trainer
 from .rng import Rng
-from .tensor import grad_check
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,7 +181,7 @@ def _cmd_gradcheck(args) -> int:
     rng = Rng(args.seed)
     image = rng.split("image").uniform((1, 1, 16, 16))
     mask = (rng.split("mask").uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
-    err = grad_check(net, image, mask, rng=rng)
+    err = M.grad_check(net, image, mask, rng=rng)
     print(f"max relative gradient error: {err:.3e} (tolerance {args.tolerance:g})")
     return 0 if err < args.tolerance else 1
 
@@ -209,6 +208,9 @@ def cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

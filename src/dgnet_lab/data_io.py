@@ -209,24 +209,15 @@ def _decode(blob: bytes, what: str) -> str:
         raise FormatError(f"{what} is not UTF-8: {exc}") from exc
 
 
-# Fixed values that older 9-key config blocks also stored; such a block must
-# hold exactly these. Its `kl_weight` (a training setting) is ignored.
-_FIXED_KEYS = {"kernel": int, "stride": int, "pad": int, "leaky_slope": float}
-
-
 def _config_from_block(blob: bytes) -> M.ModelConfig:
+    """The config a block declares. The block must be exactly what
+    `_config_block` writes for that config, byte for byte."""
     kv = {}
     for line in _decode(blob, "checkpoint config block").splitlines():
-        if not line:
-            continue
         key, _, value = line.partition("=")
         kv[key] = value
     try:
-        for key, parse in _FIXED_KEYS.items():
-            fixed = getattr(M.ModelConfig, key)
-            if key in kv and parse(kv[key]) != fixed:
-                raise ValueError(f"{key}={kv[key]}, but {key} is fixed at {fixed}")
-        return M.ModelConfig(
+        config = M.ModelConfig(
             input_size=int(kv["input_size"]),
             channels=tuple(int(c) for c in kv["channels"].split(",")),
             latent_dim=int(kv["latent_dim"]),
@@ -234,6 +225,10 @@ def _config_from_block(blob: bytes) -> M.ModelConfig:
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad checkpoint config block: {exc}") from exc
+    expected = _config_block(config)
+    if blob != expected:
+        raise FormatError(f"bad checkpoint config block: expected exactly {expected.decode()!r}")
+    return config
 
 
 def checkpoint_bytes(model: M.DGNet) -> bytes:
@@ -285,12 +280,6 @@ def load_checkpoint(path) -> M.DGNet:
 
     model = M.DGNet(config, _init=False)
     expected = model.state_tensors()
-    # Older exp checkpoints have a Gaussian-width enc.fc head; they load with
-    # its c0 half, the first latent_dim columns, which is all exp ever read.
-    wide = {}
-    if config.family == "exp":
-        wide = {name: expected[name].shape[:-1] + (2 * config.latent_dim,)
-                for name in ("enc.fc.w", "enc.fc.b")}
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
     if count != len(expected):
         raise FormatError(f"checkpoint holds {count} tensors, architecture needs {len(expected)}")
@@ -306,17 +295,16 @@ def load_checkpoint(path) -> M.DGNet:
         (rank,) = struct.unpack("<I", read_exact(4, "tensor rank"))
         shape = tuple(struct.unpack("<I", read_exact(4, "tensor dim"))[0] for _ in range(rank))
         arch = expected[name].shape
-        if shape != arch and shape != wide.get(name):
+        if shape != arch:
             raise FormatError(f"tensor {name!r} has shape {shape}, architecture needs {arch}")
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = read_exact(4 * n_items, f"tensor {name!r} payload")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(shape)[..., :arch[-1]].astype(np.float32)
+        payload = read_exact(4 * math.prod(shape), f"tensor {name!r} payload")
+        arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"tensor {name!r} holds non-finite values")
         if name in model.params:
-            model.params[name] = Tensor(arr.copy(), requires_grad=True)
+            model.params[name] = Tensor(arr, requires_grad=True)
         else:
-            model.buffers[name] = arr.copy()
+            model.buffers[name] = arr
     missing = set(expected) - seen
     if missing:
         raise FormatError(f"checkpoint missing tensor {sorted(missing)[0]!r}")

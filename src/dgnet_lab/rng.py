@@ -45,10 +45,10 @@ class Rng:
     """
 
     def __init__(self, seed: int, _lane: int = 0):
-        if seed < 0:
+        if not 0 <= seed <= _MASK64:
             raise ValueError("seed must be a non-negative 64-bit integer")
-        self.seed = seed & _MASK64
-        self._lane = _lane & _MASK64
+        self.seed = seed
+        self._lane = _lane
         self._gen = np.random.Generator(
             np.random.Philox(key=np.array([self.seed, self._lane], dtype=np.uint64))
         )

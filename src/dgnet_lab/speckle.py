@@ -187,11 +187,11 @@ def synth_dataset(config: SceneConfig, count: int, out_dir) -> str:
 
     if count < 0:
         raise ValueError("count must be non-negative")
+    master = Rng(config.seed)
     out_dir = data_io.ensure_dir(out_dir)
     images_dir = data_io.ensure_dir(out_dir / "images")
     masks_dir = data_io.ensure_dir(out_dir / "masks")
 
-    master = Rng(config.seed)
     manifest_lines = []
     meta_lines = [f"# size={config.size} sea_mean={config.sea_mean!r} "
                   f"oil_contrast={config.oil_contrast!r} "

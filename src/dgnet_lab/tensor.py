@@ -16,7 +16,6 @@ run the same graph at higher precision.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 
 import numpy as np
@@ -476,34 +475,3 @@ def finite_difference_check(loss_fn, params, h=1e-3):
             if err > worst:
                 worst = err
     return worst
-
-
-def grad_check(model, image, gt_mask, rng):
-    """Finite-difference check of the model's full training loss.
-
-    Runs the graph in float64 (the engine's verification precision) with a
-    frozen latent noise draw so both gradient estimates differentiate the same
-    deterministic function. Parameters are jittered away from their initial
-    values first: freshly initialised biases sit exactly on the leaky-ReLU
-    kink, where the piecewise derivative and the central difference disagree
-    by construction. Returns the max relative error over parameters.
-    """
-    from . import model as model_mod
-
-    m64 = model.astype(np.float64)
-    jitter_rng = rng.split("jitter")
-    # Jitter is drawn in the Gaussian layout's shapes and cropped to the
-    # model's, as the exp head's init is, so a seed's jitter of each weight
-    # that the loss reads does not depend on the head's width.
-    gauss = dataclasses.replace(model.config, family="gauss")
-    drawn = {name: shape for name, shape, _ in model_mod.state_layout(gauss)}
-    for name, p in m64.params.items():
-        p.data = p.data + 0.05 * jitter_rng.normal(drawn[name])[..., :p.shape[-1]]
-    img = Tensor(np.asarray(image, dtype=np.float64))
-    gt = Tensor(np.asarray(gt_mask, dtype=np.float64))
-    noise = model_mod.frozen_latent_noise(m64, img.shape[0], rng.split("noise"))
-
-    def loss_fn():
-        return model_mod.elbo_loss(m64, img, gt, noise, 1.0)[0]
-
-    return finite_difference_check(loss_fn, m64.params, h=1e-5)

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-import dgnet_lab.tensor as T
 from dgnet_lab import data_io, metrics, speckle, trainer
 from dgnet_lab import model as M
 from dgnet_lab.rng import Rng
@@ -139,7 +138,7 @@ def test_criterion_03_full_model_gradient_check():
     image = rng.split("image").uniform((1, 1, 16, 16))
     mask = (rng.split("mask").uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
     t0 = time.process_time()
-    err = T.grad_check(net, image, mask, rng=rng)
+    err = M.grad_check(net, image, mask, rng=rng)
     elapsed = time.process_time() - t0
     print(f"criterion 3: max relative gradient error {err:.3e} "
           f"over every parameter entry ({elapsed:.1f}s CPU)")

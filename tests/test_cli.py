@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -34,6 +35,15 @@ class TestSynth:
         assert len(list((out / "masks").glob("*.pgm"))) == 5
         assert (out / "manifest.tsv").exists()
         assert "5" in capsys.readouterr().out
+
+    def test_seed_beyond_64_bits_is_validation_error(self, tmp_path, capsys):
+        # 2**64 would otherwise wrap to the stream of seed 0.
+        code = cli(["synth", "--out", str(tmp_path / "x"), "--count", "1", "--size", "16",
+                    "--seed", str(2 ** 64)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be a non-negative 64-bit integer"]
+        assert not (tmp_path / "x").exists()
 
     def test_bad_contrast_is_validation_error(self, tmp_path):
         code = cli(["synth", "--out", str(tmp_path / "x"), "--count", "1",
@@ -140,6 +150,32 @@ class TestSegmentInputs:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad checkpoint config block")
+
+    @pytest.mark.parametrize("family, old, new, message", [
+        pytest.param("exp", b"channels=2,2,2,2\nlatent_dim=2\n",
+                     b"channels=2,2,2,2\nkernel=4\nstride=2\npad=1\nlatent_dim=2\n"
+                     b"kl_weight=1.0\nleaky_slope=0.2\n",
+                     "bad checkpoint config block", id="nine-keys"),
+        pytest.param("gauss", b"family=gauss", b"family=exp",
+                     "tensor 'enc.fc.w' has shape", id="wide-exp-head"),
+        pytest.param("exp", b"latent_dim=2\n", b"latent_dim=2\nfoo=1\n",
+                     "bad checkpoint config block", id="unknown-key"),
+        pytest.param("exp", b"latent_dim=2\n", b"latent_dim=2\nlatent_dim=2\n",
+                     "bad checkpoint config block", id="duplicate-key")])
+    def test_checkpoint_the_writer_would_not_write(self, tmp_path, capsys, family, old, new,
+                                                    message):
+        blob = data_io.checkpoint_bytes(M.DGNet(dataclasses.replace(self.CFG, family=family)))
+        (n,) = struct.unpack_from("<I", blob, 8)
+        block = blob[12:12 + n].replace(old, new)
+        (tmp_path / "m.dgnt").write_bytes(blob[:8] + struct.pack("<I", len(block)) + block
+                                          + blob[12 + n:])
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "x.pgm", bit_depth=16)
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"),
+                    "--data", str(tmp_path / "x.pgm"), "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not (tmp_path / "pred").exists()
 
 
 class TestNonFiniteSettings:
@@ -262,6 +298,19 @@ class TestErrorContract:
                              "--out", "pred"], cwd=tmp_path)
         assert result.returncode == 1
         assert result.stderr.splitlines() == ["error: conv2d produced non-finite values"]
+
+    def test_unallocatable_model_is_one_line_validation_error(self, tmp_path, capsys):
+        # The enc.fc draw of this latent width asks for ~1.8 EiB, more than any
+        # address space holds, so it fails whatever the overcommit policy.
+        ds = tmp_path / "ds"
+        assert cli(["synth", "--out", str(ds), "--count", "2", "--size", "16"]) == 0
+        capsys.readouterr()
+        code = cli(["train", "--data", str(ds / "manifest.tsv"), "--out",
+                    str(tmp_path / "m.dgnt"), "--size", "16", "--latent", str(10 ** 15)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "m.dgnt").exists()
 
     def test_module_entry_point_runs_the_command(self, tmp_path):
         result = run_module(["synth", "--out", "d", "--count", "2", "--size", "16"],

@@ -163,51 +163,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             data_io.load_checkpoint(p)
 
-    def test_legacy_nine_key_block_loads(self, tmp_path):
-        # The block layout written while kernel, stride, pad and leaky_slope
-        # were settable and the KL weight was a model setting; the tensors
-        # that follow it are unchanged.
-        net = M.DGNet(self.CFG, seed=3)
-        blob = data_io.checkpoint_bytes(net)
-        (n,) = struct.unpack_from("<I", blob, 8)
-        legacy = _with_config_text(blob, blob[12:12 + n], (
-            b"family=exp\ninput_size=32\nchannels=4,8,8,16\nkernel=4\nstride=2\npad=1\n"
-            b"latent_dim=6\nkl_weight=0.25\nleaky_slope=0.2\n"))
-        path = tmp_path / "old.dgnt"
-        path.write_bytes(legacy)
-        loaded = data_io.load_checkpoint(path)
-        assert loaded.config == self.CFG
-        for name, arr in net.state_tensors().items():
-            np.testing.assert_array_equal(loaded.state_tensors()[name], arr)
-        img = Rng(45).uniform((32, 32)).astype(np.float32)
-        np.testing.assert_array_equal(trainer.segment(loaded, img)[1],
-                                      trainer.segment(net, img)[1])
-        data_io.save_checkpoint(loaded, path)
-        assert path.read_bytes() == blob
-
-    def test_wide_exp_head_loads_with_its_c0_half(self, tmp_path):
-        # Exp checkpoints were written with the Gaussian-width enc.fc head; a
-        # Gaussian file relabelled exp has that layout and the same weights.
-        gauss = M.DGNet(dataclasses.replace(self.CFG, family="gauss"), seed=3)
-        blob = data_io.checkpoint_bytes(gauss)
-        path = tmp_path / "old.dgnt"
-        path.write_bytes(_with_config_text(blob, b"family=gauss", b"family=exp"))
-        loaded = data_io.load_checkpoint(path)
-        net = M.DGNet(self.CFG, seed=3)
-        assert loaded.config == self.CFG
-        for name, arr in net.state_tensors().items():
-            np.testing.assert_array_equal(loaded.state_tensors()[name], arr)
-        img = Rng(46).uniform((32, 32)).astype(np.float32)
-        np.testing.assert_array_equal(trainer.segment(loaded, img)[0],
-                                      trainer.segment(net, img)[0])
-        data_io.save_checkpoint(loaded, path)
-        assert path.read_bytes() == data_io.checkpoint_bytes(net)
-
     def test_slim_head_is_not_a_gauss_head(self, tmp_path):
         blob = data_io.checkpoint_bytes(M.DGNet(self.CFG, seed=3))
         path = tmp_path / "m.dgnt"
         path.write_bytes(_with_config_text(blob, b"family=exp", b"family=gauss"))
         with pytest.raises(FormatError):
+            data_io.load_checkpoint(path)
+
+    def test_wide_head_is_not_an_exp_head(self, tmp_path):
+        # A Gaussian file relabelled exp has a 2*latent_dim-wide enc.fc head.
+        gauss = M.DGNet(dataclasses.replace(self.CFG, family="gauss"), seed=3)
+        path = tmp_path / "m.dgnt"
+        path.write_bytes(_with_config_text(data_io.checkpoint_bytes(gauss), b"family=gauss",
+                                           b"family=exp"))
+        with pytest.raises(FormatError, match="'enc.fc.w' has shape"):
             data_io.load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
@@ -257,12 +226,31 @@ def _with_config_text(blob: bytes, old: bytes, new: bytes) -> bytes:
     return blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + n:]
 
 
+# The block layout written while kernel, stride, pad and leaky_slope were
+# settable and the KL weight was a model setting, with the fixed values.
+_NINE_KEYS = (b"channels=2,2,2,2\nlatent_dim=2\n",
+              b"channels=2,2,2,2\nkernel=4\nstride=2\npad=1\nlatent_dim=2\nkl_weight=1.0\n"
+              b"leaky_slope=0.2\n")
+
+
 class TestMalformedCheckpoint:
     @pytest.mark.parametrize("old, new", [(b"family=exp", b"family=\xffxp"),
                                           (b"channels=2,", b"channels=-2,"),
                                           (b"latent_dim=2\n", b"latent_dim=2\nstride=3\n"),
                                           (b"latent_dim=2\n",
-                                           b"latent_dim=2\nleaky_slope=0.1\n")])
+                                           b"latent_dim=2\nleaky_slope=0.1\n"),
+                                          pytest.param(*_NINE_KEYS, id="nine-keys"),
+                                          pytest.param(b"latent_dim=2\n",
+                                                       b"latent_dim=2\nfoo=1\n",
+                                                       id="unknown-key"),
+                                          pytest.param(b"latent_dim=2\n",
+                                                       b"latent_dim=2\nlatent_dim=2\n",
+                                                       id="duplicate-key"),
+                                          pytest.param(b"family=exp\ninput_size=16\n",
+                                                       b"input_size=16\nfamily=exp\n",
+                                                       id="reordered-keys"),
+                                          pytest.param(b"latent_dim=2\n", b"latent_dim=02\n",
+                                                       id="padded-number")])
     def test_bad_config_block(self, tmp_path, old, new):
         (tmp_path / "m.dgnt").write_bytes(_with_config_text(_tiny_checkpoint(), old, new))
         with pytest.raises(FormatError):

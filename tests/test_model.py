@@ -280,7 +280,7 @@ class TestElboLoss:
         rng = Rng(17)
         image = rng.uniform((1, 1, 16, 16))
         mask = (rng.uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
-        err = T.grad_check(net, image, mask, rng=rng)
+        err = M.grad_check(net, image, mask, rng=rng)
         assert err < 1e-3
 
 

@@ -425,3 +425,9 @@ class TestRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             Rng(-1)
+
+    def test_seed_beyond_64_bits_rejected(self):
+        # Masking it to 64 bits would give 2**64 the stream of seed 0.
+        assert Rng(2 ** 64 - 1).uniform(4).shape == (4,)
+        with pytest.raises(ValueError, match="non-negative 64-bit integer"):
+            Rng(2 ** 64)
