@@ -14,7 +14,11 @@ then segments the next 40 (the held-out scenes):
 
 For each run it prints the sha256 of the checkpoint file, of the curve CSV
 and of the held-out masks (the uint8 bytes of each mask, in scene order, as
-perfbench digests a segment pass), then the final training loss.
+perfbench digests a segment pass), then the final training loss. The masks
+are hashed three times: segmented one image at a time (`masks`), as one
+stack of all 40 (`masks_stack40`) and in the groups of 8 that `dgnet
+segment` runs (`masks_groups8`). The three must be equal, since a mask does
+not depend on its stack; the script exits 1 if they are not.
 
 It then prints the repr of `model.grad_check` (the max relative error between
 analytic and central-difference gradients) for two setups:
@@ -51,13 +55,14 @@ def main() -> None:
     bootstrap.import_dgnet_lab()
     import numpy as np
     from dgnet_lab import model as M
-    from dgnet_lab import trainer
+    from dgnet_lab import cli, trainer
     from dgnet_lab.rng import Rng
 
     import scenes
 
     pairs = scenes.bench_scenes(SEED, TRAIN_SCENES + HELDOUT_SCENES).pairs
     train, heldout = pairs[:TRAIN_SCENES], pairs[TRAIN_SCENES:]
+    mismatched = []
     for name, family, batch, epochs in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             curve, ckpt = Path(tmp) / "curve.csv", Path(tmp) / "model.dgnt"
@@ -66,12 +71,18 @@ def main() -> None:
                 trainer.TrainConfig(epochs=epochs, batch_size=batch, learning_rate=1e-4,
                                     beta=1.0, family=family, seed=SEED,
                                     curve_path=str(curve), checkpoint_path=str(ckpt)))
-            masks = hashlib.sha256()
-            for image, _ in heldout:
-                masks.update(trainer.segment(model, image)[1].tobytes())
+            images = np.stack([image for image, _ in heldout])
+            single = _digest(trainer.segment(model, image)[1] for image in images)
+            stack = _digest(trainer.segment(model, images)[1])
+            step = cli._SEGMENT_BATCH
+            groups = _digest(np.concatenate([trainer.segment(model, images[lo:lo + step])[1]
+                                             for lo in range(0, len(images), step)]))
             print(f"{name} checkpoint {hashlib.sha256(ckpt.read_bytes()).hexdigest()} "
                   f"curve {hashlib.sha256(curve.read_bytes()).hexdigest()} "
-                  f"masks {masks.hexdigest()} final_loss {float(records[-1].loss)!r}", flush=True)
+                  f"masks {single} masks_stack40 {stack} masks_groups8 {groups} "
+                  f"final_loss {float(records[-1].loss)!r}", flush=True)
+            if not single == stack == groups:
+                mismatched.append(name)
     config = M.ModelConfig(input_size=16, channels=(4, 8, 8, 16), latent_dim=8, family="exp")
     for name, model_seed, rng_seed in GRAD_CHECKS:
         rng = Rng(rng_seed)
@@ -79,6 +90,15 @@ def main() -> None:
         mask = (rng.split("mask").uniform((1, 1, 16, 16)) < 0.3).astype(np.float64)
         err = M.grad_check(M.DGNet(config, seed=model_seed), image, mask, rng=rng)
         print(f"{name} max_rel_error {err!r}", flush=True)
+    if mismatched:
+        sys.exit(f"masks depend on their stack in {', '.join(mismatched)}")
+
+
+def _digest(masks) -> str:
+    h = hashlib.sha256()
+    for mask in masks:
+        h.update(mask.tobytes())
+    return h.hexdigest()
 
 
 if __name__ == "__main__":

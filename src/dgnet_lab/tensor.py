@@ -182,11 +182,19 @@ class Tensor:
     def leaky_relu(self, slope: float = 0.2):
         if not 0.0 <= slope < 1.0:
             raise ValueError(f"leaky_relu slope must be in [0, 1), got {slope}")
-        scale = np.where(self.data >= 0, 1.0, slope).astype(self.dtype)
+        x = self.data
+        s = x.dtype.type(slope)
 
         def backward(g):
-            self._accum_grad(g * scale)
-        return Tensor._result(self.data * scale, (self,), "leaky_relu", backward)
+            # g times 1 where x >= 0, else s, built without a select:
+            # mask * (1 - s) + s rounds to exactly 1 for any s in [0, 1).
+            dx = (x >= 0).astype(x.dtype)
+            dx *= 1 - s
+            dx += s
+            dx *= g
+            self._accum_grad(dx)
+        # With 0 <= s < 1, max(x, s*x) is x where x >= 0, else s*x.
+        return Tensor._result(np.maximum(x, x * s), (self,), "leaky_relu", backward)
 
     # -- shape ops -----------------------------------------------------------
 
@@ -417,7 +425,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: [N,D] @ [D,M] + [M]."""
+    """Affine map: [N,D] @ [D,M] + [M].
+
+    The forward runs row by row, so each row's bytes do not depend on N: a
+    [1,D] @ [D,M] product takes BLAS's gemv path and an [N,D] one its gemm,
+    which round differently.
+    """
     if x.data.ndim != 2 or weight.data.ndim != 2:
         raise ShapeError(f"dense expects 2-D input/weight, got {x.shape}/{weight.shape}")
     n, d = x.shape
@@ -426,7 +439,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"dense dimension mismatch: input {d}, weight expects {dw}")
     if bias.shape != (m,):
         raise ShapeError(f"dense bias must have shape ({m},), got {bias.shape}")
-    out_data = x.data @ weight.data + bias.data
+    out_data = np.matmul(x.data[:, None, :], weight.data)[:, 0] + bias.data
 
     def backward(g):
         if x.requires_grad:

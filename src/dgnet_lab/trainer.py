@@ -184,17 +184,19 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
 
 
 def segment(model: M.DGNet, image, threshold: float = 0.5):
-    """Deterministic segmentation of one 2-D image.
+    """Deterministic segmentation of one [H,W] image or an [N,H,W] stack.
 
     Eval-mode encode, latent point estimate (no sampling), decode, threshold;
-    ties go to oil. Returns (probability map, binary mask) as 2-D arrays.
+    ties go to oil. Returns (probability map, binary mask) of the input's
+    shape. Every op is row-independent, so each image's bytes are the same
+    whether it is segmented alone or in a stack of any size.
     """
     img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 2:
-        raise ValueError(f"segment expects a 2-D image, got shape {img.shape}")
-    x = Tensor(img[None, None])
+    if img.ndim not in (2, 3):
+        raise ValueError(f"segment expects an [H,W] image or [N,H,W] stack, got shape {img.shape}")
+    x = Tensor(img.reshape(-1, 1, *img.shape[-2:]))
     lp = model.encode(x, train=False)
     z = M.latent_point_estimate(lp)
-    prob = model.decode(z, train=False).data[0, 0]
+    prob = model.decode(z, train=False).data.reshape(img.shape)
     mask = (prob >= threshold).astype(np.uint8)
     return prob, mask

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dgnet_lab
-from dgnet_lab import data_io
+from dgnet_lab import data_io, trainer
 from dgnet_lab import model as M
 from dgnet_lab.cli import cli
 from dgnet_lab.rng import Rng
@@ -102,6 +102,54 @@ class TestTrainSegmentRoundtrip:
         code = cli(["train", "--data", str(tmp_path / "missing.tsv"),
                     "--out", str(tmp_path / "m.dgnt"), "--epochs", "1"])
         assert code == 2
+
+
+class TestSegmentGroups:
+    """`dgnet segment` runs the network on groups of images; each mask file
+    must be the one that segmenting its image alone gives."""
+
+    CFG = M.ModelConfig(input_size=32, channels=(4, 8, 8, 16), latent_dim=6)
+
+    def _dataset(self, tmp_path, count=11, odd=4):
+        # Image `odd` is 48 px; the others are 32 px, the model's size.
+        data_io.save_checkpoint(M.DGNet(self.CFG, seed=3), tmp_path / "m.dgnt")
+        rng = Rng(7)
+        (tmp_path / "images").mkdir()
+        names = [f"{i:02d}.pgm" for i in range(count)]
+        for i, name in enumerate(names):
+            side = 48 if i == odd else 32
+            data_io.write_pgm(rng.split(i).uniform((side, side)), tmp_path / "images" / name,
+                              bit_depth=16)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("".join(f"images/{n}\timages/{n}\n" for n in names))
+        return names, manifest
+
+    def test_masks_equal_per_image_segment(self, tmp_path):
+        names, manifest = self._dataset(tmp_path)
+        assert cli(["segment", "--model", str(tmp_path / "m.dgnt"), "--data", str(manifest),
+                    "--out", str(tmp_path / "pred")]) == 0
+        net = data_io.load_checkpoint(tmp_path / "m.dgnt")
+        (tmp_path / "want").mkdir()
+        for name in names:
+            source = data_io.read_pgm(tmp_path / "images" / name)
+            _, mask = trainer.segment(net, data_io.resample_bilinear(source, 32, 32))
+            data_io.write_pgm(data_io.resample_nearest(mask, *source.shape).astype(np.float64),
+                              tmp_path / "want" / name, bit_depth=8)
+        got = [(tmp_path / "pred" / n).read_bytes() for n in names]
+        assert got == [(tmp_path / "want" / n).read_bytes() for n in names]
+        assert data_io.read_pgm(tmp_path / "pred" / names[4]).shape == (48, 48)
+        assert len(set(got)) > 1
+
+    def test_truncated_image_in_second_group(self, tmp_path, capsys):
+        names, manifest = self._dataset(tmp_path)
+        bad = tmp_path / "images" / names[9]
+        bad.write_bytes(bad.read_bytes()[:-10])
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"), "--data", str(manifest),
+                    "--out", str(tmp_path / "pred")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: truncated PGM payload")
+        assert sorted(p.name for p in (tmp_path / "pred").glob("*.pgm")) == names[:8]
 
 
 class TestSegmentInputs:

@@ -200,6 +200,24 @@ class TestPointwise:
         x.leaky_relu(0.2).sum().backward()
         assert x.grad[0] == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 0.1, 0.7, 1.0 - 2.0 ** -30])
+    def test_leaky_relu_matches_a_select_bitwise(self, dtype, slope):
+        # Values and gradients are those of x * (1 if x >= 0 else slope),
+        # at both signs of zero and at subnormals.
+        rng = Rng(5)
+        data = ((rng.uniform(256) - 0.5) * 10.0 ** rng.integers(-40, 3, 256)).astype(dtype)
+        tiny = np.finfo(dtype).tiny
+        data[:4] = [0.0, -0.0, -0.3 * tiny, 0.3 * tiny]
+        g = (rng.uniform(256) - 0.5).astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        out = x.leaky_relu(slope)
+        (out * Tensor(g)).sum().backward()
+        scale = np.where(data >= 0, 1.0, slope).astype(dtype)
+        assert out.dtype == dtype and x.grad.dtype == dtype
+        assert out.data.tobytes() == (data * scale).tobytes()
+        assert x.grad.tobytes() == (np.zeros_like(data) + g * scale).tobytes()
+
     def test_leaky_relu_slope_validation(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros(2)).leaky_relu(1.0)
@@ -240,6 +258,18 @@ class TestDense:
         b = rng.uniform(4)
         np.testing.assert_allclose(T.dense(Tensor(x), Tensor(w), Tensor(b)).data,
                                    naive_dense(x, w, b), atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_do_not_depend_on_the_batch(self, dtype):
+        # At the encoder head's size, a [1,D] product and an [N,D] one take
+        # different BLAS paths; each row must still have the same bytes.
+        rng = Rng(13)
+        x = (rng.uniform((11, 2048)) - 0.5).astype(dtype)
+        w = Tensor((rng.uniform((2048, 128)) - 0.5).astype(dtype))
+        b = Tensor(rng.uniform(128).astype(dtype))
+        batch = T.dense(Tensor(x), w, b).data
+        for k in range(len(x)):
+            assert batch[k].tobytes() == T.dense(Tensor(x[k:k + 1]), w, b).data[0].tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

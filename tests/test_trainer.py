@@ -72,10 +72,12 @@ class TestGraphRelease:
         # backward consumes; it too is freed by reference counting.
         net = M.DGNet(SMALL_MODEL, seed=0)
         image = Rng(2).uniform((32, 32))
+        stack = Rng(3).uniform((3, 32, 32))
         gc.collect()
         gc.disable()
         try:
             trainer.segment(net, image)
+            trainer.segment(net, stack)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -274,6 +276,28 @@ class TestSegment:
         p2, m2 = trainer.segment(model, data[0][0])
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(m1, m2)
+
+
+class TestSegmentStack:
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_stack_matches_single_images_bitwise(self, family):
+        # The 64 px architecture, whose dense layers are large enough that a
+        # batched product could round differently from a single row.
+        net = M.DGNet(M.ModelConfig(input_size=64, family=family), seed=1)
+        images = Rng(4).uniform((11, 64, 64)).astype(np.float32)
+        probs, masks = trainer.segment(net, images)
+        assert probs.shape == masks.shape == (11, 64, 64)
+        assert masks.dtype == np.uint8
+        for k, image in enumerate(images):
+            prob, mask = trainer.segment(net, image)
+            assert prob.shape == mask.shape == (64, 64)
+            assert probs[k].tobytes() == prob.tobytes()
+            assert masks[k].tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("shape", [(32,), (1, 1, 32, 32)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(ValueError, match="segment expects"):
+            trainer.segment(M.DGNet(SMALL_MODEL, seed=0), np.zeros(shape))
 
 
 class TestCurveCsv:
