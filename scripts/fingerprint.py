@@ -1,8 +1,14 @@
-"""sha256 fingerprints of three seeded training runs and two gradient-check
-values, so that a claim of byte-identical (or of declared-changed) outputs is
-one command:
+"""sha256 fingerprints of a seeded synthetic dataset, three seeded training
+runs and two gradient-check values, so that a claim of byte-identical (or of
+declared-changed) outputs is one command:
 
     python3 scripts/fingerprint.py
+
+It first runs `dgnet synth --count 30 --size 64 --seed 42 --lookalike-prob
+0.3` through `cli.cli` and prints two hashes: `synth` of the images, masks and
+manifest together (each file's relative path and bytes, in sorted path order)
+and `synth_meta` of `meta.txt` alone, so that a change to that file's header
+shows by itself.
 
 Each run trains on the first 200 benchmark scenes of seed 42 (the acceptance
 suite's training scenes, from perfbench/scenes.py) with lr 1e-4 and beta 1,
@@ -18,7 +24,8 @@ perfbench digests a segment pass), then the final training loss. The masks
 are hashed three times: segmented one image at a time (`masks`), as one
 stack of all 40 (`masks_stack40`) and in the groups of 8 that `dgnet
 segment` runs (`masks_groups8`). The three must be equal, since a mask does
-not depend on its stack; the script exits 1 if they are not.
+not depend on its stack; the script exits 1 if they are not. It also exits
+1 if loading the checkpoint and saving it again does not give the same bytes.
 
 It then prints the repr of `model.grad_check` (the max relative error between
 analytic and central-difference gradients) for two setups:
@@ -32,7 +39,9 @@ BLAS is pinned to one thread and dgnet_lab is imported from this checkout's
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -55,14 +64,28 @@ def main() -> None:
     bootstrap.import_dgnet_lab()
     import numpy as np
     from dgnet_lab import model as M
-    from dgnet_lab import cli, trainer
+    from dgnet_lab import cli, data_io, trainer
     from dgnet_lab.rng import Rng
 
     import scenes
 
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.cli(["synth", "--out", str(out), "--count", "30", "--size", "64",
+                            "--seed", str(SEED), "--lookalike-prob", "0.3"])
+        if code != 0:
+            sys.exit(f"dgnet synth exited {code}")
+        dataset = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "meta.txt"):
+            dataset.update(path.relative_to(out).as_posix().encode() + b"\0")
+            dataset.update(path.read_bytes())
+        meta = hashlib.sha256((out / "meta.txt").read_bytes()).hexdigest()
+        print(f"synth {dataset.hexdigest()} synth_meta {meta}", flush=True)
+
     pairs = scenes.bench_scenes(SEED, TRAIN_SCENES + HELDOUT_SCENES).pairs
     train, heldout = pairs[:TRAIN_SCENES], pairs[TRAIN_SCENES:]
-    mismatched = []
+    mismatched, unstable = [], []
     for name, family, batch, epochs in RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             curve, ckpt = Path(tmp) / "curve.csv", Path(tmp) / "model.dgnt"
@@ -83,6 +106,8 @@ def main() -> None:
                   f"final_loss {float(records[-1].loss)!r}", flush=True)
             if not single == stack == groups:
                 mismatched.append(name)
+            if data_io.checkpoint_bytes(data_io.load_checkpoint(ckpt)) != ckpt.read_bytes():
+                unstable.append(name)
     config = M.ModelConfig(input_size=16, channels=(4, 8, 8, 16), latent_dim=8, family="exp")
     for name, model_seed, rng_seed in GRAD_CHECKS:
         rng = Rng(rng_seed)
@@ -92,6 +117,8 @@ def main() -> None:
         print(f"{name} max_rel_error {err!r}", flush=True)
     if mismatched:
         sys.exit(f"masks depend on their stack in {', '.join(mismatched)}")
+    if unstable:
+        sys.exit(f"save(load(checkpoint)) changes the bytes in {', '.join(unstable)}")
 
 
 def _digest(masks) -> str:

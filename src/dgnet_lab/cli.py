@@ -34,7 +34,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sea-mean", type=float, default=1.0)
     p.add_argument("--oil-contrast", type=float, default=5.0)
     p.add_argument("--lookalike-prob", type=float, default=0.0)
     p.add_argument("--lookalike-contrast", type=float, default=2.0)
@@ -76,7 +75,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     config = speckle.SceneConfig(
-        size=args.size, sea_mean=args.sea_mean, oil_contrast=args.oil_contrast,
+        size=args.size, oil_contrast=args.oil_contrast,
         lookalike_prob=args.lookalike_prob, lookalike_contrast=args.lookalike_contrast,
         seed=args.seed)
     manifest = speckle.synth_dataset(config, args.count, args.out)

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model as M
-from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"DGNT"
 CHECKPOINT_VERSION = 1
@@ -272,42 +271,32 @@ def load_checkpoint(path) -> M.DGNet:
         raise FormatError(f"unsupported checkpoint version {version}")
     (block_len,) = struct.unpack("<I", read_exact(4, "config length"))
     config = _config_from_block(read_exact(block_len, "config block"))
-    need = 4 * sum(math.prod(shape) for _, shape, _ in M.state_layout(config))
+    layout = [(name, shape) for name, shape, _ in M.state_layout(config)]
+    need = 4 * sum(math.prod(shape) for _, shape in layout)
     remaining = len(data) - view.tell()
     if need > remaining:
         raise FormatError(f"truncated checkpoint: its config block declares {need} bytes "
                           f"of tensors, {remaining} bytes remain")
 
-    model = M.DGNet(config, _init=False)
-    expected = model.state_tensors()
     (count,) = struct.unpack("<I", read_exact(4, "tensor count"))
-    if count != len(expected):
-        raise FormatError(f"checkpoint holds {count} tensors, architecture needs {len(expected)}")
-    seen = set()
-    for _ in range(count):
+    if count != len(layout):
+        raise FormatError(f"checkpoint holds {count} tensors, architecture needs {len(layout)}")
+    state = {}
+    for index, (arch_name, arch) in enumerate(layout):
         (name_len,) = struct.unpack("<I", read_exact(4, "tensor name length"))
         name = _decode(read_exact(name_len, "tensor name"), "checkpoint tensor name")
-        if name not in expected:
-            raise FormatError(f"unexpected tensor {name!r} in checkpoint")
-        if name in seen:
-            raise FormatError(f"duplicate tensor {name!r} in checkpoint")
-        seen.add(name)
+        if name != arch_name:
+            raise FormatError(f"checkpoint tensor {index} is {name!r}, "
+                              f"architecture needs {arch_name!r} there")
         (rank,) = struct.unpack("<I", read_exact(4, "tensor rank"))
         shape = tuple(struct.unpack("<I", read_exact(4, "tensor dim"))[0] for _ in range(rank))
-        arch = expected[name].shape
         if shape != arch:
             raise FormatError(f"tensor {name!r} has shape {shape}, architecture needs {arch}")
         payload = read_exact(4 * math.prod(shape), f"tensor {name!r} payload")
         arr = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"tensor {name!r} holds non-finite values")
-        if name in model.params:
-            model.params[name] = Tensor(arr, requires_grad=True)
-        else:
-            model.buffers[name] = arr
-    missing = set(expected) - seen
-    if missing:
-        raise FormatError(f"checkpoint missing tensor {sorted(missing)[0]!r}")
+        state[name] = arr
     if view.read(1):
         raise FormatError("trailing bytes after checkpoint payload")
-    return model
+    return M.DGNet(config, state=state)

@@ -74,29 +74,29 @@ class LatentParams:
     family: str
 
 
-def _bn_layout(name, channels):
-    yield f"{name}.gamma", (channels,), 1.0
-    yield f"{name}.beta", (channels,), 0.0
-    yield f"{name}.running_mean", (channels,), 0.0
-    yield f"{name}.running_var", (channels,), 1.0
+_BUFFERS = (".running_mean", ".running_var")
 
 
 def state_layout(config: ModelConfig):
-    """Yield (name, shape, init) for every parameter and batch-norm buffer.
+    """Yield (name, shape, init) for every parameter in network order, then
+    every batch-norm buffer. This is the checkpoint's tensor order and
+    `DGNet.state_tensors()`'s.
 
     `init` is a constant fill value, or (rng label, fan-in) for a weight drawn
     uniformly from +-sqrt(1/fan-in). A third item, the drawn shape, makes the
     weight the leading columns of a wider draw. Names ending in `.running_mean`
-    or `.running_var` are buffers. Parameters come in checkpoint order, and so
-    do buffers.
+    or `.running_var` are buffers.
     """
     k = config.kernel
+    norms = []
     chans = (1,) + tuple(config.channels)
     for i in range(4):
         c_in, c_out = chans[i], chans[i + 1]
         yield f"enc.conv{i}.w", (c_out, c_in, k, k), (f"enc{i}", c_in * k * k)
         yield f"enc.conv{i}.b", (c_out,), 0.0
-        yield from _bn_layout(f"enc.bn{i}", c_out)
+        yield f"enc.bn{i}.gamma", (c_out,), 1.0
+        yield f"enc.bn{i}.beta", (c_out,), 0.0
+        norms.append((f"enc.bn{i}", c_out))
     flat = config.channels[-1] * config.seed_size ** 2
     head = config.latent_dim * (2 if config.family == "gauss" else 1)
     # The exp head is the c0 half of the Gaussian-width draw: a draw of its own
@@ -111,7 +111,12 @@ def state_layout(config: ModelConfig):
         yield f"dec.deconv{i}.w", (c_in, c_out, k, k), (f"dec{i}", c_in * k * k)
         yield f"dec.deconv{i}.b", (c_out,), 0.0
         if i < 3:
-            yield from _bn_layout(f"dec.bn{i}", c_out)
+            yield f"dec.bn{i}.gamma", (c_out,), 1.0
+            yield f"dec.bn{i}.beta", (c_out,), 0.0
+            norms.append((f"dec.bn{i}", c_out))
+    for name, channels in norms:
+        yield f"{name}.running_mean", (channels,), 0.0
+        yield f"{name}.running_var", (channels,), 1.0
 
 
 def grad_check(model, image, gt_mask, rng):
@@ -124,15 +129,17 @@ def grad_check(model, image, gt_mask, rng):
     kink, where the piecewise derivative and the central difference disagree
     by construction. Returns the max relative error over parameters.
     """
-    m64 = model.astype(np.float64)
+    state = {name: a.astype(np.float64) for name, a in model.state_tensors().items()}
     jitter_rng = rng.split("jitter")
     # Jitter is drawn in the Gaussian layout's shapes and cropped to the
     # model's, as the exp head's init is, so a seed's jitter of each weight
     # that the loss reads does not depend on the head's width.
     gauss = replace(model.config, family="gauss")
     drawn = {name: shape for name, shape, _ in state_layout(gauss)}
-    for name, p in m64.params.items():
-        p.data = p.data + 0.05 * jitter_rng.normal(drawn[name])[..., :p.shape[-1]]
+    for name in model.params:
+        a = state[name]
+        state[name] = a + 0.05 * jitter_rng.normal(drawn[name])[..., :a.shape[-1]]
+    m64 = DGNet(model.config, state=state)
     img = Tensor(np.asarray(image, dtype=np.float64))
     gt = Tensor(np.asarray(gt_mask, dtype=np.float64))
     noise = frozen_latent_noise(m64, img.shape[0], rng.split("noise"))
@@ -146,46 +153,36 @@ def grad_check(model, image, gt_mask, rng):
 class DGNet:
     """Encoder + decoder with named parameters and batch-norm buffers."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32,
-                 _init: bool = True):
+    def __init__(self, config: ModelConfig, seed: int = 0, state=None):
+        """A fresh model drawn from `seed`, or, given `state` (name -> array
+        for every name in `state_layout(config)`), a model wrapping those
+        arrays: parameters become trainable Tensors, buffers stay arrays."""
         self.config = config
-        self.dtype = dtype
         self.params: "OrderedDict[str, Tensor]" = OrderedDict()
         self.buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._build(Rng(seed) if _init else None)
-
-    def _build(self, rng):
-        for name, shape, init in state_layout(self.config):
-            if isinstance(init, float):
-                data = np.full(shape, init, dtype=self.dtype)
-            elif rng is None:
-                data = np.zeros(shape, dtype=self.dtype)
+        rng = Rng(seed)
+        for name, shape, init in state_layout(config):
+            if state is not None:
+                data = state[name]
+            elif isinstance(init, float):
+                data = np.full(shape, init, dtype=np.float32)
             else:
+                # Keyed by the weight's own label, so the draw does not depend
+                # on the layout order.
                 key, fan_in, *drawn = init
                 bound = math.sqrt(1.0 / fan_in)
                 u = rng.split(key).uniform(drawn[0] if drawn else shape)[..., :shape[-1]]
-                data = ((u * 2.0 - 1.0) * bound).astype(self.dtype)
-            if name.endswith((".running_mean", ".running_var")):
+                data = ((u * 2.0 - 1.0) * bound).astype(np.float32)
+            if name.endswith(_BUFFERS):
                 self.buffers[name] = data
             else:
                 self.params[name] = Tensor(data, requires_grad=True)
 
-    # -- persistence helpers -------------------------------------------------
-
     def state_tensors(self) -> "OrderedDict[str, np.ndarray]":
-        """All named arrays (parameters + buffers) in a stable order."""
+        """All named arrays (parameters, then buffers) in `state_layout` order."""
         out = OrderedDict((name, p.data) for name, p in self.params.items())
         out.update(self.buffers)
         return out
-
-    def astype(self, dtype) -> "DGNet":
-        """Copy of the model with parameters/buffers cast to `dtype`."""
-        clone = DGNet(self.config, dtype=dtype, _init=False)
-        for name, p in self.params.items():
-            clone.params[name] = Tensor(p.data.astype(dtype), requires_grad=p.requires_grad)
-        for name, b in self.buffers.items():
-            clone.buffers[name] = b.astype(dtype)
-        return clone
 
     # -- forward -------------------------------------------------------------
 

@@ -64,8 +64,7 @@ def exp_kl(p: ExponentialModel, q: ExponentialModel) -> float:
 @dataclass(frozen=True)
 class SceneConfig:
     size: int = 64
-    sea_mean: float = 1.0
-    oil_contrast: float = 5.0          # sea_mean / oil_mean
+    oil_contrast: float = 5.0          # sea mean / oil mean
     blob_count_range: tuple[int, int] = (1, 3)
     lookalike_prob: float = 0.0
     lookalike_contrast: float = 2.0
@@ -73,13 +72,11 @@ class SceneConfig:
     mask_fraction_bounds: tuple[float, float] = (0.05, 0.30)
 
     def __post_init__(self):
-        for name in ("sea_mean", "oil_contrast", "lookalike_contrast"):
+        for name in ("oil_contrast", "lookalike_contrast"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.size < 8:
             raise ValueError(f"scene size must be >= 8, got {self.size}")
-        if self.sea_mean <= 0:
-            raise ValueError("sea_mean must be positive")
         if self.oil_contrast <= 1:
             raise ValueError(f"oil_contrast must exceed 1, got {self.oil_contrast}")
         if not 0.0 <= self.lookalike_prob <= 1.0:
@@ -140,9 +137,10 @@ def _blob_mask(size, fraction_bounds, count_range, rng: Rng) -> tuple[np.ndarray
 def synth_scene(config: SceneConfig, rng: Rng | None = None) -> SceneSample:
     """Generate one intensity image + oil mask pair.
 
-    Per-pixel intensity is exponential with mean sea_mean outside blobs,
-    sea_mean/oil_contrast inside oil, and sea_mean/lookalike_contrast inside
-    look-alike patches (which stay labeled as background).
+    Per-pixel intensity is exponential with mean 1 outside blobs,
+    1/oil_contrast inside oil, and 1/lookalike_contrast inside look-alike
+    patches (which stay labeled as background). Only these ratios matter:
+    `synth_dataset` rescales each image by its own 99.9th percentile.
     """
     if rng is None:
         rng = Rng(config.seed)
@@ -158,15 +156,14 @@ def synth_scene(config: SceneConfig, rng: Rng | None = None) -> SceneSample:
         la_raw, _ = _blob_mask(size, (0.5 * lo, 0.5 * hi), (1, 1), la_rng.split("blobs"))
         lookalike = la_raw & ~oil
 
-    mean_map = np.full((size, size), config.sea_mean, dtype=np.float64)
-    mean_map[oil] = config.sea_mean / config.oil_contrast
-    mean_map[lookalike] = config.sea_mean / config.lookalike_contrast
+    mean_map = np.ones((size, size), dtype=np.float64)
+    mean_map[oil] = 1.0 / config.oil_contrast
+    mean_map[lookalike] = 1.0 / config.lookalike_contrast
 
     u = rng.split("speckle").uniform((size, size))
     image = (mean_map * -np.log1p(-u)).astype(np.float32)
 
     meta = {
-        "sea_mean": config.sea_mean,
         "oil_contrast": config.oil_contrast,
         "lookalike_contrast": config.lookalike_contrast,
         "oil_fraction": oil_frac,
@@ -193,8 +190,7 @@ def synth_dataset(config: SceneConfig, count: int, out_dir) -> str:
     masks_dir = data_io.ensure_dir(out_dir / "masks")
 
     manifest_lines = []
-    meta_lines = [f"# size={config.size} sea_mean={config.sea_mean!r} "
-                  f"oil_contrast={config.oil_contrast!r} "
+    meta_lines = [f"# size={config.size} oil_contrast={config.oil_contrast!r} "
                   f"lookalike_prob={config.lookalike_prob!r} "
                   f"lookalike_contrast={config.lookalike_contrast!r} seed={config.seed}"]
     for i in range(count):

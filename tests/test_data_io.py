@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import math
 import os
 import resource
 import signal
@@ -186,6 +187,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             data_io.load_checkpoint(p)
 
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    def test_tensor_order_is_the_layout_order(self, family):
+        cfg = dataclasses.replace(self.CFG, family=family)
+        net = M.DGNet(cfg, seed=3)
+        names = [name for name, _, _ in M.state_layout(cfg)]
+        assert names == list(net.state_tensors())
+        assert names == [name for name, _ in _tensor_records(data_io.checkpoint_bytes(net))[1]]
+
+    def test_swapped_tensor_records_rejected(self, tmp_path):
+        head, records = _tensor_records(data_io.checkpoint_bytes(M.DGNet(self.CFG, seed=3)))
+        (first, a), (second, b) = records[:2]
+        path = tmp_path / "m.dgnt"
+        path.write_bytes(head + b + a + b"".join(r for _, r in records[2:]))
+        with pytest.raises(FormatError) as info:
+            data_io.load_checkpoint(path)
+        assert repr(first) in str(info.value) and repr(second) in str(info.value)
+
 
 class TestManifest:
     def test_entries_are_relative_to_the_manifest(self, tmp_path):
@@ -224,6 +242,24 @@ def _with_config_text(blob: bytes, old: bytes, new: bytes) -> bytes:
     (n,) = struct.unpack_from("<I", blob, 8)
     block = blob[12:12 + n].replace(old, new)
     return blob[:8] + struct.pack("<I", len(block)) + block + blob[12 + n:]
+
+
+def _tensor_records(blob: bytes):
+    """`blob` up to its first tensor record, and its (name, record bytes) pairs."""
+    (n,) = struct.unpack_from("<I", blob, 8)
+    (count,) = struct.unpack_from("<I", blob, 12 + n)
+    pos = 16 + n
+    head, records = blob[:pos], []
+    for _ in range(count):
+        start = pos
+        (name_len,) = struct.unpack_from("<I", blob, pos)
+        name = blob[pos + 4:pos + 4 + name_len].decode()
+        (rank,) = struct.unpack_from("<I", blob, pos + 4 + name_len)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 8 + name_len)
+        pos += 8 + name_len + 4 * (rank + math.prod(dims))
+        records.append((name, blob[start:pos]))
+    assert pos == len(blob)
+    return head, records
 
 
 # The block layout written while kernel, stride, pad and leaky_slope were

@@ -123,6 +123,17 @@ class TestEncoderHead:
         assert sum(p.data.size for p in net.params.values()) == count
 
 
+class TestStateConstructor:
+    def test_wraps_the_given_arrays(self):
+        state = M.DGNet(SMALL, seed=2).state_tensors()
+        net = M.DGNet(SMALL, state=state)
+        assert list(net.state_tensors()) == list(state)
+        assert all(arr is state[name] for name, arr in net.state_tensors().items())
+        assert all(p.requires_grad for p in net.params.values())
+        assert list(net.buffers) == [name for name in state
+                                     if name.endswith((".running_mean", ".running_var"))]
+
+
 class TestDecode:
     def test_output_in_open_unit_interval(self):
         net = M.DGNet(SMALL, seed=0)

@@ -105,7 +105,7 @@ class TestSceneConfig:
 
 class TestSynthScene:
     def test_oil_region_mean(self):
-        cfg = SceneConfig(size=256, sea_mean=1.0, oil_contrast=5.0, seed=10,
+        cfg = SceneConfig(size=256, oil_contrast=5.0, seed=10,
                           mask_fraction_bounds=(0.15, 0.35))
         scene = synth_scene(cfg)
         oil_mean = scene.image[scene.mask == 1].mean()
