@@ -84,7 +84,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent)
+    # Checked up front: a bad output path would otherwise fail after the last epoch.
+    for path in (Path(p) for p in (args.out, args.curve) if p is not None):
+        if not path.parent.is_dir():
+            raise FileNotFoundError(f"no such output directory: {path.parent}")
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+    model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent,
+                                 family=args.family)
     train_config = trainer.TrainConfig(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
         beta=args.beta, family=args.family, seed=args.seed,

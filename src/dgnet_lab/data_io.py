@@ -97,7 +97,7 @@ def read_pgm(path) -> np.ndarray:
     if len(payload) != need:
         raise FormatError(f"truncated PGM payload: have {len(payload)} bytes, need {need}")
     raw = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return (raw.astype(np.float32) / maxval).astype(np.float32)
+    return raw.astype(np.float32) / maxval
 
 
 def write_pgm(array, path, bit_depth: int = 8) -> None:

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from . import data_io
 from .rng import Rng
 
 
@@ -63,13 +65,18 @@ def exp_kl(p: ExponentialModel, q: ExponentialModel) -> float:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """Settings of a synthetic scene. The blob geometry is fixed by two class
+    constants, not fields: oil is 1 to 3 blob layers, covering a fraction of
+    the scene within `mask_fraction_bounds`."""
+
     size: int = 64
     oil_contrast: float = 5.0          # sea mean / oil mean
-    blob_count_range: tuple[int, int] = (1, 3)
     lookalike_prob: float = 0.0
     lookalike_contrast: float = 2.0
-    seed: int = 0
-    mask_fraction_bounds: tuple[float, float] = (0.05, 0.30)
+    seed: int = 0                      # keys `synth_dataset`'s per-scene streams
+
+    blob_count_range: ClassVar[tuple[int, int]] = (1, 3)
+    mask_fraction_bounds: ClassVar[tuple[float, float]] = (0.05, 0.30)
 
     def __post_init__(self):
         for name in ("oil_contrast", "lookalike_contrast"):
@@ -83,19 +90,13 @@ class SceneConfig:
             raise ValueError("lookalike_prob must lie in [0, 1]")
         if not 1.0 < self.lookalike_contrast < self.oil_contrast:
             raise ValueError("lookalike_contrast must lie strictly between 1 and oil_contrast")
-        lo, hi = self.mask_fraction_bounds
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValueError(f"mask_fraction_bounds must be ordered within (0,1), got {self.mask_fraction_bounds}")
-        c0, c1 = self.blob_count_range
-        if not (1 <= c0 <= c1):
-            raise ValueError(f"blob_count_range must be an ordered pair >= 1, got {self.blob_count_range}")
 
 
 @dataclass
 class SceneSample:
     image: np.ndarray                  # 2-D float32 intensity, >= 0
     mask: np.ndarray                   # 2-D uint8, 1 = oil
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)   # "lookalike_mask": 2-D bool
 
 
 _MAX_BLOB_RETRIES = 30
@@ -110,7 +111,7 @@ def _blob_layer(size: int, fraction: float, rng: Rng) -> np.ndarray:
     return smooth > level
 
 
-def _blob_mask(size, fraction_bounds, count_range, rng: Rng) -> tuple[np.ndarray, float]:
+def _blob_mask(size, fraction_bounds, count_range, rng: Rng) -> np.ndarray:
     lo, hi = fraction_bounds
     target = lo + float(rng.uniform()) * (hi - lo)
     count = int(rng.integers(count_range[0], count_range[1]))
@@ -120,41 +121,36 @@ def _blob_mask(size, fraction_bounds, count_range, rng: Rng) -> tuple[np.ndarray
         mask = np.zeros((size, size), dtype=bool)
         for _ in range(count):
             mask |= _blob_layer(size, per_layer, rng)
-        frac = float(mask.mean())
-        if lo <= frac <= hi:
-            return mask, frac
+        if lo <= mask.mean() <= hi:
+            return mask
     # A one-layer target within a pixel of a bound can threshold to just
     # outside it on every retry; one layer aimed at the middle of the bounds
     # lands inside them whenever they are more than a pixel or two apart.
     mask = _blob_layer(size, 0.5 * (lo + hi), rng)
-    frac = float(mask.mean())
-    if lo <= frac <= hi:
-        return mask, frac
+    if lo <= mask.mean() <= hi:
+        return mask
     raise RuntimeError(
         f"could not hit mask fraction bounds {fraction_bounds} after {_MAX_BLOB_RETRIES} attempts")
 
 
-def synth_scene(config: SceneConfig, rng: Rng | None = None) -> SceneSample:
-    """Generate one intensity image + oil mask pair.
+def synth_scene(config: SceneConfig, rng: Rng) -> SceneSample:
+    """Generate one intensity image + oil mask pair, drawn from `rng` alone.
 
     Per-pixel intensity is exponential with mean 1 outside blobs,
     1/oil_contrast inside oil, and 1/lookalike_contrast inside look-alike
-    patches (which stay labeled as background). Only these ratios matter:
-    `synth_dataset` rescales each image by its own 99.9th percentile.
+    patches (labeled background; returned as meta["lookalike_mask"]). Only
+    these ratios matter: `synth_dataset` rescales each image by its own 99.9th
+    percentile, and draws scene i from Rng(config.seed).split(("scene", i)).
     """
-    if rng is None:
-        rng = Rng(config.seed)
     size = config.size
-    oil, oil_frac = _blob_mask(size, config.mask_fraction_bounds,
-                               config.blob_count_range, rng.split("oil"))
+    oil = _blob_mask(size, config.mask_fraction_bounds, config.blob_count_range,
+                     rng.split("oil"))
 
     la_rng = rng.split("lookalike")
-    has_lookalike = float(la_rng.uniform()) < config.lookalike_prob
     lookalike = np.zeros((size, size), dtype=bool)
-    if has_lookalike:
+    if float(la_rng.uniform()) < config.lookalike_prob:
         lo, hi = config.mask_fraction_bounds
-        la_raw, _ = _blob_mask(size, (0.5 * lo, 0.5 * hi), (1, 1), la_rng.split("blobs"))
-        lookalike = la_raw & ~oil
+        lookalike = _blob_mask(size, (0.5 * lo, 0.5 * hi), (1, 1), la_rng.split("blobs")) & ~oil
 
     mean_map = np.ones((size, size), dtype=np.float64)
     mean_map[oil] = 1.0 / config.oil_contrast
@@ -163,15 +159,8 @@ def synth_scene(config: SceneConfig, rng: Rng | None = None) -> SceneSample:
     u = rng.split("speckle").uniform((size, size))
     image = (mean_map * -np.log1p(-u)).astype(np.float32)
 
-    meta = {
-        "oil_contrast": config.oil_contrast,
-        "lookalike_contrast": config.lookalike_contrast,
-        "oil_fraction": oil_frac,
-        "has_lookalike": has_lookalike,
-        "lookalike_fraction": float(lookalike.mean()),
-        "lookalike_mask": lookalike,
-    }
-    return SceneSample(image=image, mask=oil.astype(np.uint8), meta=meta)
+    return SceneSample(image=image, mask=oil.astype(np.uint8),
+                       meta={"lookalike_mask": lookalike})
 
 
 def synth_dataset(config: SceneConfig, count: int, out_dir) -> str:
@@ -180,8 +169,6 @@ def synth_dataset(config: SceneConfig, count: int, out_dir) -> str:
     Per-sample randomness is derived from (config.seed, index), so the same
     config always regenerates byte-identical files. Returns the manifest path.
     """
-    from . import data_io  # local import: data_io depends on nothing here
-
     if count < 0:
         raise ValueError("count must be non-negative")
     master = Rng(config.seed)

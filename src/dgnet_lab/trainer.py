@@ -7,7 +7,7 @@ single composed loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,9 +128,9 @@ class EpochRecord:
     nll: float
 
 
-def _batch_tensors(dataset, indices, dtype=np.float32):
-    images = np.stack([np.asarray(dataset[i][0], dtype=dtype) for i in indices])[:, None]
-    masks = np.stack([np.asarray(dataset[i][1], dtype=dtype) for i in indices])[:, None]
+def _batch_tensors(dataset, indices):
+    images = np.stack([np.asarray(dataset[i][0], dtype=np.float32) for i in indices])[:, None]
+    masks = np.stack([np.asarray(dataset[i][1], dtype=np.float32) for i in indices])[:, None]
     return Tensor(images), Tensor(masks)
 
 
@@ -145,13 +145,16 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
     """Run epoch-based mini-batch training; returns (model, records).
 
     `dataset` is a sequence of (image, mask) 2-D array pairs already sized to
-    model_config.input_size. Shuffle order is keyed on (seed, epoch) so runs
-    are reproducible at any batch size. Writes the learning curve CSV and the
-    final checkpoint when paths are configured.
+    model_config.input_size. The two configs must name the same family.
+    Shuffle order is keyed on (seed, epoch) so runs are reproducible at any
+    batch size. Writes the learning curve CSV and the final checkpoint when
+    paths are configured.
     """
     if len(dataset) == 0:
         raise ValueError("training dataset is empty")
-    model_config = replace(model_config, family=train_config.family)
+    if model_config.family != train_config.family:
+        raise ValueError(f"model family {model_config.family!r} does not match "
+                         f"training family {train_config.family!r}")
     model = M.DGNet(model_config, seed=train_config.seed)
     master = Rng(train_config.seed)
     noise_rng = master.split("latent-noise")

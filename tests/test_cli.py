@@ -103,6 +103,37 @@ class TestTrainSegmentRoundtrip:
                     "--out", str(tmp_path / "m.dgnt"), "--epochs", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, target, message", [
+        ("--out", "nodir/x", "no such output directory: {}/nodir"),
+        ("--curve", "nodir/x", "no such output directory: {}/nodir"),
+        ("--out", "ds", "output path is a directory: {}/ds")],
+        ids=["out-nodir", "curve-nodir", "out-is-dir"])
+    def test_bad_output_path_is_refused_before_training(self, tmp_path, capsys, monkeypatch,
+                                                        flag, target, message):
+        ds = tmp_path / "ds"
+        assert cli(["synth", "--out", str(ds), "--count", "1", "--size", "32"]) == 0
+
+        def must_not_train(*args, **kwargs):
+            raise AssertionError("trained before checking the output paths")
+
+        monkeypatch.setattr(trainer, "train", must_not_train)
+        paths = {"--out": str(tmp_path / "m.dgnt"), "--curve": str(tmp_path / "c.csv")}
+        paths[flag] = str(tmp_path / target)
+        capsys.readouterr()
+        code = cli(["train", "--data", str(ds / "manifest.tsv"), "--epochs", "1",
+                    "--size", "32", "--out", paths["--out"], "--curve", paths["--curve"]])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"i/o error: {message.format(tmp_path)}"]
+
+    def test_family_flag_sets_the_model_family(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert cli(["synth", "--out", str(ds), "--count", "1", "--size", "32"]) == 0
+        ckpt = tmp_path / "m.dgnt"
+        assert cli(["train", "--data", str(ds / "manifest.tsv"), "--out", str(ckpt),
+                    "--epochs", "1", "--size", "32", "--latent", "4",
+                    "--family", "gauss"]) == 0
+        assert data_io.load_checkpoint(ckpt).config.family == "gauss"
+
 
 class TestSegmentGroups:
     """`dgnet segment` runs the network on groups of images; each mask file

@@ -99,33 +99,35 @@ class TestSceneConfig:
             SceneConfig(oil_contrast=1.0)
         with pytest.raises(ValueError):
             SceneConfig(lookalike_contrast=9.0)  # must stay below oil_contrast
-        with pytest.raises(ValueError):
-            SceneConfig(mask_fraction_bounds=(0.4, 0.1))
+
+    @pytest.mark.parametrize("kwargs", [dict(mask_fraction_bounds=(0.1, 0.4)),
+                                        dict(blob_count_range=(1, 1))])
+    def test_fixed_blob_geometry_is_not_settable(self, kwargs):
+        with pytest.raises(TypeError):
+            SceneConfig(**kwargs)
 
 
 class TestSynthScene:
     def test_oil_region_mean(self):
-        cfg = SceneConfig(size=256, oil_contrast=5.0, seed=10,
-                          mask_fraction_bounds=(0.15, 0.35))
-        scene = synth_scene(cfg)
+        cfg = SceneConfig(size=256, oil_contrast=5.0, seed=10)
+        scene = synth_scene(cfg, Rng(cfg.seed))
         oil_mean = scene.image[scene.mask == 1].mean()
         assert oil_mean == pytest.approx(0.2, rel=0.05)
 
     def test_no_lookalike_when_prob_zero(self):
         cfg = SceneConfig(size=64, lookalike_prob=0.0, seed=11)
-        scene = synth_scene(cfg)
-        assert not scene.meta["has_lookalike"]
-        assert scene.meta["lookalike_fraction"] == 0.0
+        scene = synth_scene(cfg, Rng(cfg.seed))
+        assert not scene.meta["lookalike_mask"].any()
 
     def test_determinism(self):
         cfg = SceneConfig(size=64, lookalike_prob=0.5, seed=12)
-        a, b = synth_scene(cfg), synth_scene(cfg)
+        a, b = synth_scene(cfg, Rng(cfg.seed)), synth_scene(cfg, Rng(cfg.seed))
         assert np.array_equal(a.image, b.image)
         assert np.array_equal(a.mask, b.mask)
 
     def test_intensities_non_negative_and_fraction_in_bounds(self):
         cfg = SceneConfig(size=96, seed=13)
-        scene = synth_scene(cfg)
+        scene = synth_scene(cfg, Rng(cfg.seed))
         assert scene.image.min() >= 0.0
         lo, hi = cfg.mask_fraction_bounds
         assert lo <= scene.mask.mean() <= hi
@@ -145,7 +147,7 @@ class TestSynthScene:
         for seed in range(14, 24):
             cfg = SceneConfig(size=256, lookalike_prob=1.0, lookalike_contrast=2.0,
                               oil_contrast=6.0, seed=seed)
-            scene = synth_scene(cfg)
+            scene = synth_scene(cfg, Rng(cfg.seed))
             la = scene.meta["lookalike_mask"]
             if la.mean() < 0.005:
                 continue
@@ -157,7 +159,7 @@ class TestSynthScene:
 
     def test_lookalike_pixels_labeled_background(self):
         for seed in range(30, 40):
-            scene = synth_scene(SceneConfig(size=64, lookalike_prob=1.0, seed=seed))
+            scene = synth_scene(SceneConfig(size=64, lookalike_prob=1.0, seed=seed), Rng(seed))
             la = scene.meta["lookalike_mask"]
             if la.any():
                 assert not scene.mask[la].any()

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -247,6 +248,11 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             trainer.train([], SMALL_MODEL, trainer.TrainConfig(epochs=1))
+
+    def test_model_and_training_families_must_match(self):
+        gauss = dataclasses.replace(SMALL_MODEL, family="gauss")
+        with pytest.raises(ValueError, match="'gauss'.*'exp'"):
+            trainer.train(tiny_dataset(), gauss, trainer.TrainConfig(epochs=1))
 
 
 class TestSegment:
