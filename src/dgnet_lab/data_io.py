@@ -33,13 +33,15 @@ def ensure_dir(path) -> Path:
     return p
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over `path`,
-    so a write that fails leaves any previous file as it was."""
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like `chunks`, in order, to a temp file beside `path`,
+    then rename it over `path`, so a write that fails leaves any previous file
+    as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -230,28 +232,26 @@ def _config_from_block(blob: bytes) -> M.ModelConfig:
     return config
 
 
-def checkpoint_bytes(model: M.DGNet) -> bytes:
-    out = io.BytesIO()
-    out.write(CHECKPOINT_MAGIC)
-    out.write(struct.pack("<I", CHECKPOINT_VERSION))
+def _checkpoint_chunks(model: M.DGNet):
+    """The checkpoint in bytes-like pieces; a float32 tensor is its own piece,
+    so writing the checkpoint copies no tensor."""
     block = _config_block(model.config)
-    out.write(struct.pack("<I", len(block)))
-    out.write(block)
     tensors = model.state_tensors()
-    out.write(struct.pack("<I", len(tensors)))
+    yield CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(block)) + block
+    yield struct.pack("<I", len(tensors))
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
-        out.write(struct.pack("<I", len(encoded)))
-        out.write(encoded)
-        out.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            out.write(struct.pack("<I", dim))
-        out.write(arr.astype("<f4", copy=False).tobytes())
-    return out.getvalue()
+        yield struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded,
+                          arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f4")
+
+
+def checkpoint_bytes(model: M.DGNet) -> bytes:
+    return b"".join(_checkpoint_chunks(model))
 
 
 def save_checkpoint(model: M.DGNet, path) -> None:
-    write_atomic(path, checkpoint_bytes(model))
+    write_atomic(path, _checkpoint_chunks(model))
 
 
 def load_checkpoint(path) -> M.DGNet:

@@ -150,6 +150,10 @@ def grad_check(model, image, gt_mask, rng):
     return T.finite_difference_check(loss_fn, m64.params, h=1e-5)
 
 
+# Elements per block of a weight's draw, so its float64 temporaries stay small.
+_DRAW_BLOCK = 8192
+
+
 class DGNet:
     """Encoder + decoder with named parameters and batch-norm buffers."""
 
@@ -168,11 +172,17 @@ class DGNet:
                 data = np.full(shape, init, dtype=np.float32)
             else:
                 # Keyed by the weight's own label, so the draw does not depend
-                # on the layout order.
+                # on the layout order. Drawn in blocks of rows: the stream gives
+                # the same numbers, without a float64 copy of the whole weight.
                 key, fan_in, *drawn = init
-                bound = math.sqrt(1.0 / fan_in)
-                u = rng.split(key).uniform(drawn[0] if drawn else shape)[..., :shape[-1]]
-                data = ((u * 2.0 - 1.0) * bound).astype(np.float32)
+                bound, stream = math.sqrt(1.0 / fan_in), rng.split(key)
+                width = (drawn[0] if drawn else shape)[-1]
+                data = np.empty(shape, dtype=np.float32)
+                rows = data.reshape(-1, shape[-1])
+                step = max(1, _DRAW_BLOCK // width)
+                for lo in range(0, len(rows), step):
+                    u = stream.uniform((min(step, len(rows) - lo), width))[:, :shape[-1]]
+                    rows[lo:lo + len(u)] = (u * 2.0 - 1.0) * bound
             if name.endswith(_BUFFERS):
                 self.buffers[name] = data
             else:

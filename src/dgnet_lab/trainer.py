@@ -6,6 +6,7 @@ single composed loss.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -141,6 +142,13 @@ def curve_csv_text(records) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim        # glibc
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
     """Run epoch-based mini-batch training; returns (model, records).
 
@@ -155,6 +163,11 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
     if model_config.family != train_config.family:
         raise ValueError(f"model family {model_config.family!r} does not match "
                          f"training family {train_config.family!r}")
+    if _malloc_trim is not None:
+        # Freed heap that earlier work (generating scenes, say) left resident
+        # in holes would count toward the run's peak resident size by as much
+        # as the run's allocations happen not to reuse.
+        _malloc_trim(0)
     model = M.DGNet(model_config, seed=train_config.seed)
     master = Rng(train_config.seed)
     noise_rng = master.split("latent-noise")
@@ -180,7 +193,8 @@ def train(dataset, model_config: M.ModelConfig, train_config: TrainConfig):
                                    kl=sums[1] / batches, nll=sums[2] / batches))
 
     if train_config.curve_path:
-        data_io.write_atomic(train_config.curve_path, curve_csv_text(records).encode("ascii"))
+        data_io.write_atomic(train_config.curve_path,
+                             [curve_csv_text(records).encode("ascii")])
     if train_config.checkpoint_path:
         data_io.save_checkpoint(model, train_config.checkpoint_path)
     return model, records

@@ -131,6 +131,18 @@ class TestCheckpoint:
         data_io.save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_saved_file_is_checkpoint_bytes(self, tmp_path):
+        # Tensors are written piece by piece; float64 and Fortran-ordered
+        # state serializes to the same little-endian float32 bytes.
+        net = M.DGNet(self.CFG, seed=3)
+        state = {name: np.asfortranarray(arr, dtype=np.float64)
+                 for name, arr in net.state_tensors().items()}
+        blob = data_io.checkpoint_bytes(net)
+        for model in (net, M.DGNet(self.CFG, state=state)):
+            data_io.save_checkpoint(model, tmp_path / "m.dgnt")
+            assert (tmp_path / "m.dgnt").read_bytes() == blob
+            assert data_io.checkpoint_bytes(model) == blob
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         net = M.DGNet(self.CFG, seed=3)
         path = tmp_path / "m.dgnt"

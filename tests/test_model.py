@@ -117,6 +117,15 @@ class TestEncoderHead:
                 arr = arr[..., :SMALL.latent_dim]
             np.testing.assert_array_equal(exp[name], arr)
 
+    @pytest.mark.parametrize("family", M.FAMILIES)
+    @pytest.mark.parametrize("block", [1, 5, 1 << 30])
+    def test_weights_do_not_depend_on_the_draw_block(self, monkeypatch, family, block):
+        config = dataclasses.replace(SMALL, family=family)
+        expected = M.DGNet(config, seed=5).state_tensors()
+        monkeypatch.setattr(M, "_DRAW_BLOCK", block)
+        got = M.DGNet(config, seed=5).state_tensors()
+        assert all(got[name].tobytes() == arr.tobytes() for name, arr in expected.items())
+
     @pytest.mark.parametrize("family, count", [("exp", 872_097), ("gauss", 1_134_369)])
     def test_parameter_count_at_64_px(self, family, count):
         net = M.DGNet(M.ModelConfig(input_size=64, family=family))
