@@ -4,7 +4,12 @@ declared-changed) outputs is one command:
 
     python3 scripts/fingerprint.py
 
-It first runs `dgnet synth --count 30 --size 64 --seed 42 --lookalike-prob
+Its first line names the BLAS kernel that made the bytes: the OpenBLAS
+config and core reported by numpy's bundled OpenBLAS (`unknown` where that
+library or its symbol is missing) and numpy's SIMD extensions found at
+runtime. Seeded bytes are identical only on the same kernel.
+
+It then runs `dgnet synth --count 30 --size 64 --seed 42 --lookalike-prob
 0.3` through `cli.cli` and prints two hashes: `synth` of the images, masks and
 manifest together (each file's relative path and bytes, in sorted path order)
 and `synth_meta` of `meta.txt` alone, so that a change to that file's header
@@ -40,6 +45,7 @@ BLAS is pinned to one thread and dgnet_lab is imported from this checkout's
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
@@ -69,6 +75,7 @@ def main() -> None:
 
     import scenes
 
+    print(_blas_line(np), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         with contextlib.redirect_stdout(io.StringIO()):
@@ -119,6 +126,22 @@ def main() -> None:
         sys.exit(f"masks depend on their stack in {', '.join(mismatched)}")
     if unstable:
         sys.exit(f"save(load(checkpoint)) changes the bytes in {', '.join(unstable)}")
+
+
+def _blas_line(np) -> str:
+    """`blas <config> core <core> simd <found>` for numpy's own OpenBLAS."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+    values = []
+    for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"):
+        fn = getattr(lib, symbol, None)
+        if fn is None:
+            values.append("unknown")
+            continue
+        fn.argtypes, fn.restype = [], ctypes.c_char_p
+        values.append(" ".join(fn().decode().split()))
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return f"blas {values[0]} core {values[1]} simd {','.join(simd)}"
 
 
 def _digest(masks) -> str:

@@ -83,13 +83,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    # Checked up front: a bad output path would otherwise fail after the last epoch.
-    for path in (Path(p) for p in (args.out, args.curve) if p is not None):
+def _check_output_paths(*paths) -> None:
+    """Refuse a bad output path before any input is read, not after the work."""
+    for path in (Path(p) for p in paths if p is not None):
         if not path.parent.is_dir():
             raise FileNotFoundError(f"no such output directory: {path.parent}")
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
+
+
+def _cmd_train(args) -> int:
+    _check_output_paths(args.out, args.curve)
     model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent,
                                  family=args.family)
     train_config = trainer.TrainConfig(
@@ -144,6 +148,8 @@ def _cmd_segment(args) -> int:
 
 def _paired_masks(gt_dir, pred_dir):
     gt_dir, pred_dir = Path(gt_dir), Path(pred_dir)
+    if not gt_dir.is_dir():
+        raise FileNotFoundError(f"no such ground-truth directory: {gt_dir}")
     names = sorted(p.name for p in gt_dir.glob("*.pgm"))
     if not names:
         raise data_io.FormatError(f"no PGM masks found in {gt_dir}")
@@ -154,11 +160,14 @@ def _paired_masks(gt_dir, pred_dir):
             raise FileNotFoundError(f"missing prediction {pred_path}")
         gt = (data_io.read_pgm(gt_dir / name) >= 0.5).astype(np.uint8)
         pred = (data_io.read_pgm(pred_path) >= 0.5).astype(np.uint8)
+        if gt.shape != pred.shape:
+            raise ValueError(f"shape mismatch in {name}: gt {gt.shape} vs pred {pred.shape}")
         pairs.append((gt, pred))
     return names, pairs
 
 
 def _cmd_eval(args) -> int:
+    _check_output_paths(args.out, args.summary)
     names, pairs = _paired_masks(args.gt, args.pred)
     reports, pooled, summary = metrics.batch_eval(pairs)
     Path(args.out).write_text(metrics.report_csv_text(names, reports, pooled))

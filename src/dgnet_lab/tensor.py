@@ -3,12 +3,15 @@
 Covers exactly the operations the segmentation network needs: elementwise
 arithmetic, sigmoid / leaky ReLU / exp / log / clamp, dense layers, strided
 2-D convolution and its transpose, batch normalization, and full-graph
-backpropagation with a finite-difference checker.
+backpropagation with a finite-difference checker. An operand of `+`, `-` or
+`*` is a Tensor of the same shape or a number, which becomes a 0-d constant.
 
 Every op output is scanned for NaN/Inf when it is made. Backward closures
 hold their outputs weakly, so a graph has no reference cycles and is freed by
 reference counting, whether or not backward ran. Backward consumes the graph:
-each node it visits drops its backward closure and its parents.
+each node it visits drops its backward closure and its parents. A gradient is
+recorded only where training takes one: eval-mode batch norm is a constant,
+so an inference forward records a graph only from one batch norm to the next.
 
 Tensors default to 32-bit floats; float64 is supported so gradient checks can
 run the same graph at higher precision.
@@ -95,19 +98,19 @@ class Tensor:
 
     def _coerce(self, other):
         if isinstance(other, Tensor):
-            if other.shape != self.shape and other.size != 1 and self.size != 1:
+            if other.shape != self.shape:
                 raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
             return other
-        return Tensor(np.asarray(other, dtype=self.dtype))
+        return Tensor(np.asarray(float(other), dtype=self.dtype))
 
     def __add__(self, other):
         other = self._coerce(other)
 
         def backward(g):
             if self.requires_grad:
-                self._accum_grad(_unbroadcast(g, self.shape))
+                self._accum_grad(g)
             if other.requires_grad:
-                other._accum_grad(_unbroadcast(g, other.shape))
+                other._accum_grad(g)
         return Tensor._result(self.data + other.data, (self, other), "add", backward)
 
     __radd__ = __add__
@@ -118,7 +121,7 @@ class Tensor:
         return Tensor._result(-self.data, (self,), "neg", backward)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -128,9 +131,9 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accum_grad(_unbroadcast(g * other.data, self.shape))
+                self._accum_grad(g * other.data)
             if other.requires_grad:
-                other._accum_grad(_unbroadcast(g * self.data, other.shape))
+                other._accum_grad(g * self.data)
         return Tensor._result(self.data * other.data, (self, other), "mul", backward)
 
     __rmul__ = __mul__
@@ -199,9 +202,6 @@ class Tensor:
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def backward(g):
             self._accum_grad(g.reshape(self.shape))
         return Tensor._result(self.data.reshape(shape), (self,), "reshape", backward)
@@ -259,13 +259,6 @@ class Tensor:
                 node._backward_fn()
             node._backward_fn = None
             node._parents = ()
-
-
-def _unbroadcast(grad, shape):
-    if grad.shape == shape:
-        return grad
-    # Only scalar-vs-array broadcasting is supported by _coerce.
-    return grad.sum(dtype=np.float64).reshape(shape).astype(grad.dtype)
 
 
 # -- layers -----------------------------------------------------------------
@@ -380,7 +373,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel batch normalization over [N,C,H,W].
 
     Train mode normalizes by batch statistics and updates the running buffers
-    in place (keep 0.9 of the old value); eval mode uses the buffers.
+    in place (keep 0.9 of the old value). Eval mode normalizes by the buffers
+    and is a constant map: its output has no parents and no backward.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d expects 4-D input, got {x.shape}")
@@ -413,15 +407,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             beta._accum_grad(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dxhat = g * gamma.data[None, :, None, None]
-            if train:
-                m = n * h * w
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                dx = (inv[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2)
-            else:
-                dx = dxhat * inv[None, :, None, None]
-            x._accum_grad(dx)
-    return Tensor._result(out_data, (x, gamma, beta), "batchnorm2d", backward)
+            m = n * h * w
+            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            x._accum_grad((inv[None, :, None, None] / m) * (m * dxhat - s1 - xhat * s2))
+    return Tensor._result(out_data, (x, gamma, beta) if train else (), "batchnorm2d", backward)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

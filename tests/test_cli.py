@@ -50,6 +50,16 @@ class TestSynth:
                     "--oil-contrast", "0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--size", "4"),
+                                             ("--lookalike-prob", "2")])
+    def test_out_of_range_setting_writes_nothing(self, tmp_path, capsys, flag, value):
+        code = cli(["synth", "--out", str(tmp_path / "x"), "--count", "1", "--size", "16",
+                    flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrainSegmentRoundtrip:
     def test_tiny_end_to_end(self, tmp_path, capsys):
@@ -342,6 +352,31 @@ class TestEval:
         assert len(lines) == 5 and lines[-1].startswith("POOLED,")
         assert summary.read_text().startswith("metric,")
 
+    @pytest.mark.parametrize("case, code, message", [
+        ("missing-gt", 2, "i/o error: no such ground-truth directory: {tmp}/nogt"),
+        ("missing-pred", 2, "i/o error: missing prediction {tmp}/pred/1.pgm"),
+        ("shape-mismatch", 1, "error: shape mismatch in 1.pgm: gt (8, 8) vs pred (12, 12)"),
+        ("summary-nodir", 2, "i/o error: no such output directory: {tmp}/nodir")],
+        ids=["missing-gt", "missing-pred", "shape-mismatch", "summary-nodir"])
+    def test_bad_input_is_one_line_and_writes_nothing(self, tmp_path, capsys, case, code,
+                                                      message):
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        gt.mkdir()
+        pred.mkdir()
+        for i in range(2):
+            data_io.write_pgm(np.zeros((8, 8)), gt / f"{i}.pgm", bit_depth=8)
+        data_io.write_pgm(np.zeros((8, 8)), pred / "0.pgm", bit_depth=8)
+        if case != "missing-pred":
+            side = 12 if case == "shape-mismatch" else 8
+            data_io.write_pgm(np.zeros((side, side)), pred / "1.pgm", bit_depth=8)
+        args = ["eval", "--gt", str(tmp_path / "nogt" if case == "missing-gt" else gt),
+                "--pred", str(pred), "--out", str(tmp_path / "report.csv")]
+        if case == "summary-nodir":
+            args += ["--summary", str(tmp_path / "nodir" / "summary.csv")]
+        assert cli(args) == code
+        assert capsys.readouterr().err.splitlines() == [message.format(tmp=tmp_path)]
+        assert not (tmp_path / "report.csv").exists()
+
     def test_empty_gt_dir_is_validation_error(self, tmp_path):
         (tmp_path / "gt").mkdir()
         (tmp_path / "pred").mkdir()
@@ -367,6 +402,24 @@ class TestDistfit:
 
     def test_missing_image_is_io_error(self, tmp_path):
         assert cli(["distfit", "--data", str(tmp_path / "nope.pgm")]) == 2
+
+    def test_mask_of_another_shape_is_validation_error(self, tmp_path, capsys):
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "img.pgm", bit_depth=16)
+        data_io.write_pgm(np.ones((8, 8)), tmp_path / "mask.pgm", bit_depth=8)
+        code = cli(["distfit", "--data", str(tmp_path / "img.pgm"),
+                    "--mask", str(tmp_path / "mask.pgm")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: mask shape (8, 8)")
+
+    def test_all_oil_mask_skips_the_empty_background(self, tmp_path, capsys):
+        data_io.write_pgm(np.full((16, 16), 0.5), tmp_path / "img.pgm", bit_depth=16)
+        data_io.write_pgm(np.ones((16, 16)), tmp_path / "mask.pgm", bit_depth=8)
+        code = cli(["distfit", "--data", str(tmp_path / "img.pgm"),
+                    "--mask", str(tmp_path / "mask.pgm")])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("oil: rate") and out[1] == "background: empty region, skipped"
 
 
 class TestGradcheck:

@@ -71,6 +71,7 @@ class TestPgm:
         b"P2\n1 1\n255\n0",            # ascii variant not supported
         b"P5\n1 1\n128\n\x00",         # nonstandard maxval
         b"P5\n2 2\n255\n\x00\x00",     # truncated payload
+        b"P5 0 4 255\n",               # zero width
     ])
     def test_malformed_rejected(self, tmp_path, blob):
         p = tmp_path / "bad.pgm"
@@ -302,6 +303,17 @@ class TestMalformedCheckpoint:
     def test_bad_config_block(self, tmp_path, old, new):
         (tmp_path / "m.dgnt").write_bytes(_with_config_text(_tiny_checkpoint(), old, new))
         with pytest.raises(FormatError):
+            data_io.load_checkpoint(tmp_path / "m.dgnt")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_tensor_count_other_than_the_layout(self, tmp_path, delta):
+        blob = bytearray(_tiny_checkpoint())
+        (n,) = struct.unpack_from("<I", blob, 8)
+        (count,) = struct.unpack_from("<I", blob, 12 + n)
+        struct.pack_into("<I", blob, 12 + n, count + delta)
+        (tmp_path / "m.dgnt").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^checkpoint holds {count + delta} tensors, "
+                                              f"architecture needs {count}$"):
             data_io.load_checkpoint(tmp_path / "m.dgnt")
 
     def test_non_utf8_tensor_name(self, tmp_path):

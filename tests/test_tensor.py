@@ -188,6 +188,16 @@ class TestBatchNorm:
             T.batchnorm2d(Tensor(np.zeros((0, 2, 4, 4))), Tensor(np.ones(2)),
                           Tensor(np.zeros(2)), np.zeros(2), np.ones(2), train=True)
 
+    def test_eval_mode_is_a_constant(self):
+        # Inference takes no gradient, so eval mode records no parents and no
+        # backward even when every input requires a gradient.
+        x = Tensor(Rng(7).normal((2, 3, 4, 4)), requires_grad=True)
+        gamma = Tensor(np.ones(3), requires_grad=True)
+        beta = Tensor(np.zeros(3), requires_grad=True)
+        out = T.batchnorm2d(x, gamma, beta, np.zeros(3), np.ones(3), train=False)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
 
 class TestPointwise:
     def test_leaky_relu_values(self):
@@ -237,6 +247,31 @@ class TestPointwise:
         got = Tensor(xs).sigmoid().data
         want = [1.0 / (1.0 + math.exp(-v)) for v in xs]
         np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+class TestOperands:
+    """An operand of +, - and * is a Tensor of the same shape or a number."""
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    @pytest.mark.parametrize("left, right", [((2, 3), (3,)), ((2, 3), (1,)), ((2, 3), ()),
+                                             ((), (1,)), ((1,), (2,))],
+                             ids=["2x3-3", "2x3-1", "2x3-0d", "0d-1", "1-2"])
+    def test_tensor_of_another_shape_raises(self, op, left, right):
+        a, b = Tensor(np.ones(left)), Tensor(np.ones(right))
+        fn = {"add": lambda u, v: u + v, "sub": lambda u, v: u - v,
+              "mul": lambda u, v: u * v}[op]
+        with pytest.raises(ShapeError):
+            fn(a, b)
+        with pytest.raises(ShapeError):
+            fn(b, a)
+
+    def test_numbers_are_constants(self):
+        x = Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
+        y = 3.0 - (x - 0.5) * 2.0 + 1
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.data, [3.0, 9.0])
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [-2.0, -2.0])
 
 
 class TestDense:

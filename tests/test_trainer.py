@@ -69,8 +69,9 @@ class TestGraphRelease:
             gc.enable()
 
     def test_segment_leaves_no_cyclic_garbage(self):
-        # Parameters require gradients, so segment builds a graph that no
-        # backward consumes; it too is freed by reference counting.
+        # Parameters require gradients, so segment records a graph from each
+        # eval-mode batch norm to the next that no backward consumes; it too
+        # is freed by reference counting.
         net = M.DGNet(SMALL_MODEL, seed=0)
         image = Rng(2).uniform((32, 32))
         stack = Rng(3).uniform((3, 32, 32))
@@ -82,6 +83,20 @@ class TestGraphRelease:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_segment_frees_each_layer_at_the_next_batch_norm(self):
+        # Eval-mode batch norm is a constant, so no layer's output or im2col
+        # columns outlive the batch norm that follows it. Recording the whole
+        # forward peaks at about 12 MB here; the constant map at about 3.5 MB.
+        net = M.DGNet(M.ModelConfig(input_size=64), seed=0)
+        images = Rng(5).uniform((8, 64, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            trainer.segment(net, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
 
     def test_zero_grad_reuses_gradient_buffers(self):
         p = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
