@@ -143,24 +143,24 @@ def synth_scene(config: SceneConfig, rng: Rng) -> SceneSample:
     percentile, and draws scene i from Rng(config.seed).split(("scene", i)).
     """
     size = config.size
+    # Outputs first, filled in place: freed scratch then lies above the scenes callers keep.
+    image, mask = np.empty((size, size), np.float32), np.empty((size, size), np.uint8)
+    lookalike = np.zeros((size, size), dtype=bool)
     oil = _blob_mask(size, config.mask_fraction_bounds, config.blob_count_range,
                      rng.split("oil"))
 
     la_rng = rng.split("lookalike")
-    lookalike = np.zeros((size, size), dtype=bool)
     if float(la_rng.uniform()) < config.lookalike_prob:
         lo, hi = config.mask_fraction_bounds
-        lookalike = _blob_mask(size, (0.5 * lo, 0.5 * hi), (1, 1), la_rng.split("blobs")) & ~oil
+        lookalike[...] = _blob_mask(size, (lo / 2, hi / 2), (1, 1), la_rng.split("blobs")) & ~oil
 
     mean_map = np.ones((size, size), dtype=np.float64)
     mean_map[oil] = 1.0 / config.oil_contrast
     mean_map[lookalike] = 1.0 / config.lookalike_contrast
 
-    u = rng.split("speckle").uniform((size, size))
-    image = (mean_map * -np.log1p(-u)).astype(np.float32)
-
-    return SceneSample(image=image, mask=oil.astype(np.uint8),
-                       meta={"lookalike_mask": lookalike})
+    image[...] = mean_map * -np.log1p(-rng.split("speckle").uniform((size, size)))
+    mask[...] = oil
+    return SceneSample(image=image, mask=mask, meta={"lookalike_mask": lookalike})
 
 
 def synth_dataset(config: SceneConfig, count: int, out_dir) -> str:
