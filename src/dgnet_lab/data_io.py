@@ -109,6 +109,8 @@ def write_pgm(array, path, bit_depth: int = 8) -> None:
         raise ValueError(f"write_pgm expects a 2-D array, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("write_pgm on an empty array")
+    if not np.isfinite(arr).all():
+        raise ValueError("write_pgm values must be finite")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValueError(f"write_pgm values must lie in [0,1], got "
                          f"[{arr.min():.6g}, {arr.max():.6g}]")

@@ -13,6 +13,14 @@ each node it visits drops its backward closure and its parents. A gradient is
 recorded only where training takes one: eval-mode batch norm is a constant,
 so an inference forward records a graph only from one batch norm to the next.
 
+Layout: activations have `[N,C,H,W]` shapes over channel-major memory, that
+is, a `[C, N, H, W]` buffer. Each convolution and transposed convolution runs
+one GEMM per pass over the whole batch, with the batch folded into the GEMM's
+`N*H*W` columns, and writes its output into a `[C, N, H, W]` buffer (conv2d's
+output is a view of its GEMM product). Elementwise ops and batch norm keep
+their input's memory order, so the next convolution reads it with no copy.
+Any op accepts any memory order.
+
 Tensors default to 32-bit floats; float64 is supported so gradient checks can
 run the same graph at higher precision.
 """
@@ -265,28 +273,40 @@ class Tensor:
 
 
 def _im2col(x, k, stride, pad):
+    """The k x k windows of x as one matrix, for one GEMM over the whole batch.
+
+    x is [N,C,H,W] in any memory order. Returns `[C*k*k, N*Ho*Wo]` columns
+    with rows (c, i, j) and columns (n, ho, wo), and Ho, Wo. Padding goes
+    into a channel-major buffer, so a channel-major x is read in order.
+    """
     n, c, h, w = x.shape
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
     if pad:
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        padded[:, :, pad:pad + h, pad:pad + w] = x
-        x = padded
+        padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
+        x = padded.transpose(1, 0, 2, 3)
     sn, sc, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(          # N,C,k,k,Ho,Wo, read-only view
-        x, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride), writeable=False)
-    return np.ascontiguousarray(win.reshape(n, c * k * k, ho * wo)), ho, wo
+    win = np.lib.stride_tricks.as_strided(          # C,k,k,N,Ho,Wo, read-only view
+        x, (c, k, k, n, ho, wo), (sc, sh, sw, sn, sh * stride, sw * stride), writeable=False)
+    return win.reshape(c * k * k, n * ho * wo), ho, wo
 
 
 def _col2im(cols, n, c, h, w, k, stride, pad, ho, wo):
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, k, k, ho, wo)
+    """Adjoint of `_im2col`: sums `[C*k*k, N*Ho*Wo]` columns into the
+    channel-major `[N,C,H,W]` image they were read from."""
+    out = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols6 = cols.reshape(c, k, k, n, ho, wo)
     for i in range(k):
         for j in range(k):
-            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, :, i, j]
-    if pad:
-        out = out[:, :, pad:pad + h, pad:pad + w]
-    return out
+            out[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, i, j]
+    return out[:, :, pad:pad + h, pad:pad + w].transpose(1, 0, 2, 3)
+
+
+def _rows(a):
+    """`[N,C,H,W]` as `[C, N*H*W]` rows; a view when `a` is channel-major."""
+    n, c, h, w = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -294,6 +314,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 
     x: [N,C,H,W], weight: [F,C,k,k], bias: [F] -> [N,F,H',W'] with
     H' = floor((H + 2*pad - k) / stride) + 1.
+
+    One GEMM covers the whole batch: the output is the `[N,F,H',W']` view of
+    a `[F, N*H'*W']` product, so it lives in channel-major memory. x may be
+    in any memory order.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -310,19 +334,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 
     cols, ho, wo = _im2col(x.data, k, stride, pad)
     wm = weight.data.reshape(f, c * k * k)
-    out_flat = np.matmul(wm, cols) + bias.data[:, None]
-    out_data = out_flat.reshape(n, f, ho, wo)
+    out_rows = wm @ cols
+    out_rows += bias.data[:, None]
 
     def backward(g):
-        g = g.reshape(n, f, ho * wo)
+        g = _rows(g)
         if weight.requires_grad:
-            weight._accum_grad(np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(weight.shape))
+            weight._accum_grad((g @ cols.T).reshape(weight.shape))
         if bias.requires_grad:
-            bias._accum_grad(g.sum(axis=(0, 2)))
+            bias._accum_grad(g.sum(axis=1))
         if x.requires_grad:
-            dcols = np.matmul(wm.T, g)
-            x._accum_grad(_col2im(dcols, n, c, h, w, k, stride, pad, ho, wo))
-    return Tensor._result(out_data, (x, weight, bias), "conv2d", backward)
+            x._accum_grad(_col2im(wm.T @ g, n, c, h, w, k, stride, pad, ho, wo))
+    return Tensor._result(out_rows.reshape(f, n, ho, wo).transpose(1, 0, 2, 3),
+                          (x, weight, bias), "conv2d", backward)
 
 
 def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor,
@@ -330,7 +354,8 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor,
     """Transposed convolution: the adjoint of conv2d's forward map.
 
     x: [N,C,H,W], weight: [C,F,k,k], bias: [F] -> [N,F,H',W'] with
-    H' = (H - 1) * stride - 2*pad + k.
+    H' = (H - 1) * stride - 2*pad + k. Like conv2d, one GEMM per pass over
+    the whole batch, with a channel-major output.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d_transpose expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -348,17 +373,16 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor,
         raise ShapeError(f"conv2d_transpose geometry invalid: k={k} stride={stride} pad={pad} on {h}x{w}")
 
     mt = weight.data.reshape(c, f * k * k)
-    x_flat = x.data.reshape(n, c, h * w)
-    cols_y = np.matmul(mt.T, x_flat)                      # N, F*k*k, H*W
-    out_data = _col2im(cols_y, n, f, ho, wo, k, stride, pad, h, w)
+    x_rows = _rows(x.data)                                 # C, N*H*W
+    out_data = _col2im(mt.T @ x_rows, n, f, ho, wo, k, stride, pad, h, w)
     out_data += bias.data[None, :, None, None]
 
     def backward(g):
-        cols_g, gh, gw = _im2col(g, k, stride, pad)       # N, F*k*k, H*W
+        cols_g, _, _ = _im2col(g, k, stride, pad)          # F*k*k, N*H*W
         if x.requires_grad:
-            x._accum_grad(np.matmul(mt, cols_g).reshape(n, c, h, w))
+            x._accum_grad((mt @ cols_g).reshape(c, n, h, w).transpose(1, 0, 2, 3))
         if weight.requires_grad:
-            weight._accum_grad(np.tensordot(x_flat, cols_g, axes=([0, 2], [0, 2])).reshape(weight.shape))
+            weight._accum_grad((x_rows @ cols_g.T).reshape(weight.shape))
         if bias.requires_grad:
             bias._accum_grad(g.sum(axis=(0, 2, 3)))
     return Tensor._result(out_data, (x, weight, bias), "conv2d_transpose", backward)

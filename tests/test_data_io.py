@@ -67,6 +67,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             data_io.write_pgm(np.full((1, 1), 1.5, np.float32), tmp_path / "x.pgm")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        p = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match="finite"):
+            data_io.write_pgm(np.array([[value, 0.5]]), p)
+        assert not p.exists()
+
     @pytest.mark.parametrize("blob", [
         b"P2\n1 1\n255\n0",            # ascii variant not supported
         b"P5\n1 1\n128\n\x00",         # nonstandard maxval

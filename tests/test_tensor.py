@@ -149,6 +149,62 @@ class TestConv2dTranspose:
                                        atol=1e-6)
 
 
+class TestConvLayout:
+    """One GEMM per op over the whole batch, on channel-major activations."""
+
+    # (C, F, side) of the encoder's convolutions and the decoder's
+    # transposed convolutions at 64 px, with the model's k=4, stride 2, pad 1.
+    ENCODER = [(1, 16, 64), (16, 32, 32), (32, 64, 16), (64, 128, 8)]
+    DECODER = [(128, 64, 4), (64, 32, 8), (32, 16, 16), (16, 1, 32)]
+
+    @staticmethod
+    def _run(op, x, w, b, r, stride, pad):
+        """Forward output and the gradients of sum(out * r) for x, w and b."""
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = op(xt, wt, bt, stride, pad)
+        (out * Tensor(r)).sum().backward()
+        return [out.data, xt.grad, wt.grad, bt.grad]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["conv2d", "conv2d_transpose"])
+    @pytest.mark.parametrize("k,stride,pad", [(4, 2, 1), (3, 1, 0)])
+    def test_memory_order_of_x_does_not_change_any_bit(self, op, dtype, k, stride, pad):
+        rng = Rng(21)
+        x = (rng.uniform((3, 5, 8, 8)) - 0.5).astype(dtype)
+        w = (rng.uniform((6, 5, k, k) if op == "conv2d" else (5, 6, k, k)) - 0.5).astype(dtype)
+        b = rng.uniform(6).astype(dtype)
+        fn = getattr(T, op)
+        out_shape = fn(Tensor(x), Tensor(w), Tensor(b), stride, pad).shape
+        r = (rng.uniform(out_shape) - 0.5).astype(dtype)
+        channel_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        assert not channel_major.flags.c_contiguous
+        for want, got in zip(self._run(fn, x, w, b, r, stride, pad),
+                             self._run(fn, channel_major, w, b, r, stride, pad)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op,layers", [("conv2d", ENCODER),
+                                           ("conv2d_transpose", DECODER)])
+    def test_images_do_not_depend_on_the_batch(self, op, layers):
+        rng = Rng(22)
+        fn = getattr(T, op)
+        for c, f, side in layers:
+            x = (rng.uniform((8, c, side, side)) - 0.5).astype(np.float32)
+            shape = (f, c, 4, 4) if op == "conv2d" else (c, f, 4, 4)
+            w = Tensor((rng.uniform(shape) - 0.5).astype(np.float32))
+            b = Tensor(rng.uniform(f).astype(np.float32))
+            batch = fn(Tensor(x), w, b, 2, 1).data
+            for n in range(len(x)):
+                alone = fn(Tensor(x[n:n + 1]), w, b, 2, 1).data[0]
+                assert batch[n].tobytes() == alone.tobytes()
+
+    def test_conv2d_output_is_a_view_of_its_gemm_rows(self):
+        rng = Rng(23)
+        out = T.conv2d(Tensor(rng.uniform((4, 3, 8, 8))), Tensor(rng.uniform((5, 3, 4, 4))),
+                       Tensor(np.zeros(5)), 2, 1).data
+        rows = out.transpose(1, 0, 2, 3).reshape(5, 4 * 4 * 4)
+        assert np.shares_memory(rows, out)
+
+
 class TestBatchNorm:
     def test_constant_channel_gives_zeros(self):
         x = Tensor(np.full((2, 3, 4, 4), 7.0))
