@@ -8,6 +8,7 @@ error, 2 I/O error. All randomness is controlled by --seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -92,7 +93,21 @@ def _check_output_paths(*paths) -> None:
             raise IsADirectoryError(f"output path is a directory: {path}")
 
 
+def _check_distinct(**paths) -> None:
+    """Refuse two flags that name one file, through links and relative parts,
+    before either is read or written."""
+    named = [(flag, Path(p)) for flag, p in paths.items() if p is not None]
+    for (flag_a, a), (flag_b, b) in itertools.combinations(named, 2):
+        try:
+            same = a.samefile(b)
+        except OSError:             # one of them does not exist (yet)
+            same = a.resolve() == b.resolve()
+        if same:
+            raise ValueError(f"--{flag_a} {a} and --{flag_b} {b} are the same file")
+
+
 def _cmd_train(args) -> int:
+    _check_distinct(data=args.data, out=args.out, curve=args.curve)
     _check_output_paths(args.out, args.curve)
     model_config = M.ModelConfig(input_size=args.size, latent_dim=args.latent,
                                  family=args.family)
@@ -132,6 +147,10 @@ def _cmd_segment(args) -> int:
             raise ValueError(f"{sources[path.name]} and {path} would both write the mask "
                              f"{path.name}")
         sources[path.name] = path
+        mask_path = Path(args.out, path.name)
+        # A mask path that does not exist yet cannot be an existing input.
+        if mask_path.exists() and mask_path.samefile(path):
+            raise ValueError(f"the mask {mask_path} would overwrite its input image {path}")
     out_dir = data_io.ensure_dir(args.out)
     size = net.config.input_size
     for start in range(0, len(paths), _SEGMENT_BATCH):
@@ -167,6 +186,7 @@ def _paired_masks(gt_dir, pred_dir):
 
 
 def _cmd_eval(args) -> int:
+    _check_distinct(out=args.out, summary=args.summary)
     _check_output_paths(args.out, args.summary)
     names, pairs = _paired_masks(args.gt, args.pred)
     reports, pooled, summary = metrics.batch_eval(pairs)

@@ -17,6 +17,11 @@ from dgnet_lab.rng import Rng
 _SRC = str(Path(dgnet_lab.__file__).resolve().parent.parent)
 
 
+def tree_bytes(root):
+    """{path: bytes} of every file under `root`."""
+    return {p: p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
 def run_module(args, cwd):
     """`python -m dgnet_lab.cli ARGS` in a fresh interpreter."""
     env = dict(os.environ, OMP_NUM_THREADS="1",
@@ -113,27 +118,37 @@ class TestTrainSegmentRoundtrip:
                     "--out", str(tmp_path / "m.dgnt"), "--epochs", "1"])
         assert code == 2
 
-    @pytest.mark.parametrize("flag, target, message", [
-        ("--out", "nodir/x", "no such output directory: {}/nodir"),
-        ("--curve", "nodir/x", "no such output directory: {}/nodir"),
-        ("--out", "ds", "output path is a directory: {}/ds")],
-        ids=["out-nodir", "curve-nodir", "out-is-dir"])
+    @pytest.mark.parametrize("flag, target, code, message", [
+        ("--out", "nodir/x", 2, "i/o error: no such output directory: {t}/nodir"),
+        ("--curve", "nodir/x", 2, "i/o error: no such output directory: {t}/nodir"),
+        ("--out", "ds", 2, "i/o error: output path is a directory: {t}/ds"),
+        ("--curve", "m.dgnt", 1, "error: --out {t}/m.dgnt and --curve {t}/m.dgnt are the "
+                                 "same file"),
+        ("--out", "ds/manifest.tsv", 1, "error: --data {t}/ds/manifest.tsv and --out "
+                                        "{t}/ds/manifest.tsv are the same file"),
+        ("--curve", "ds/../ds/manifest.tsv", 1, "error: --data {t}/ds/manifest.tsv and "
+                                                "--curve {t}/ds/../ds/manifest.tsv are the "
+                                                "same file")],
+        ids=["out-nodir", "curve-nodir", "out-is-dir", "curve-is-out", "out-is-data",
+             "curve-is-data"])
     def test_bad_output_path_is_refused_before_training(self, tmp_path, capsys, monkeypatch,
-                                                        flag, target, message):
+                                                        flag, target, code, message):
         ds = tmp_path / "ds"
         assert cli(["synth", "--out", str(ds), "--count", "1", "--size", "32"]) == 0
+        inputs = tree_bytes(ds)
 
-        def must_not_train(*args, **kwargs):
-            raise AssertionError("trained before checking the output paths")
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("read or trained before checking the output paths")
 
-        monkeypatch.setattr(trainer, "train", must_not_train)
+        monkeypatch.setattr(data_io, "load_dataset", must_not_run)
+        monkeypatch.setattr(trainer, "train", must_not_run)
         paths = {"--out": str(tmp_path / "m.dgnt"), "--curve": str(tmp_path / "c.csv")}
         paths[flag] = str(tmp_path / target)
         capsys.readouterr()
-        code = cli(["train", "--data", str(ds / "manifest.tsv"), "--epochs", "1",
-                    "--size", "32", "--out", paths["--out"], "--curve", paths["--curve"]])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [f"i/o error: {message.format(tmp_path)}"]
+        assert cli(["train", "--data", str(ds / "manifest.tsv"), "--epochs", "1",
+                    "--size", "32", "--out", paths["--out"], "--curve", paths["--curve"]]) == code
+        assert capsys.readouterr().err.splitlines() == [message.format(t=tmp_path)]
+        assert tree_bytes(ds) == inputs
 
     def test_family_flag_sets_the_model_family(self, tmp_path):
         ds = tmp_path / "ds"
@@ -210,6 +225,25 @@ class TestSegmentInputs:
         assert len(err) == 1
         assert str(Path("a", "x.pgm")) in err[0] and str(Path("b", "x.pgm")) in err[0]
         assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("single", [False, True], ids=["manifest", "single-image"])
+    def test_mask_over_its_input_image_is_refused(self, tmp_path, capsys, single):
+        data_io.save_checkpoint(M.DGNet(self.CFG), tmp_path / "m.dgnt")
+        images = tmp_path / "ds" / "images"
+        images.mkdir(parents=True)
+        for name in ("0.pgm", "1.pgm"):
+            data_io.write_pgm(np.full((16, 16), 0.5), images / name, bit_depth=16)
+        manifest = tmp_path / "ds" / "manifest.tsv"
+        manifest.write_text("images/0.pgm\timages/0.pgm\nimages/1.pgm\timages/1.pgm\n")
+        inputs = tree_bytes(tmp_path / "ds")
+        data = images / "1.pgm" if single else manifest
+        code = cli(["segment", "--model", str(tmp_path / "m.dgnt"), "--data", str(data),
+                    "--out", str(images)])
+        assert code == 1
+        first = images / ("1.pgm" if single else "0.pgm")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the mask {first} would overwrite its input image {first}"]
+        assert tree_bytes(tmp_path / "ds") == inputs
 
     def test_checkpoint_declaring_a_huge_architecture(self, tmp_path, capsys):
         # The file holds a tiny model; its config block claims ~60 GB of weights.
@@ -356,8 +390,11 @@ class TestEval:
         ("missing-gt", 2, "i/o error: no such ground-truth directory: {tmp}/nogt"),
         ("missing-pred", 2, "i/o error: missing prediction {tmp}/pred/1.pgm"),
         ("shape-mismatch", 1, "error: shape mismatch in 1.pgm: gt (8, 8) vs pred (12, 12)"),
-        ("summary-nodir", 2, "i/o error: no such output directory: {tmp}/nodir")],
-        ids=["missing-gt", "missing-pred", "shape-mismatch", "summary-nodir"])
+        ("summary-nodir", 2, "i/o error: no such output directory: {tmp}/nodir"),
+        ("summary-is-out", 1, "error: --out {tmp}/report.csv and --summary "
+                              "{tmp}/report.csv are the same file")],
+        ids=["missing-gt", "missing-pred", "shape-mismatch", "summary-nodir",
+             "summary-is-out"])
     def test_bad_input_is_one_line_and_writes_nothing(self, tmp_path, capsys, case, code,
                                                       message):
         gt, pred = tmp_path / "gt", tmp_path / "pred"
@@ -373,9 +410,13 @@ class TestEval:
                 "--pred", str(pred), "--out", str(tmp_path / "report.csv")]
         if case == "summary-nodir":
             args += ["--summary", str(tmp_path / "nodir" / "summary.csv")]
+        if case == "summary-is-out":
+            args += ["--summary", str(tmp_path / "report.csv")]
+        inputs = tree_bytes(tmp_path)
         assert cli(args) == code
         assert capsys.readouterr().err.splitlines() == [message.format(tmp=tmp_path)]
         assert not (tmp_path / "report.csv").exists()
+        assert tree_bytes(tmp_path) == inputs
 
     def test_empty_gt_dir_is_validation_error(self, tmp_path):
         (tmp_path / "gt").mkdir()
