@@ -6,7 +6,9 @@ two factors are not separately identifiable from intensity data, so the model
 stores the single rate parameter (rate = 1 / mean intensity).
 
 Scenes are built as irregular dark blobs (oil) on a brighter sea background,
-optionally with unlabeled look-alike patches of intermediate darkness.
+optionally with unlabeled look-alike patches of intermediate darkness. Each
+blob is white noise smoothed by a periodic Gaussian blur in numpy
+(`gaussian_filter`) and thresholded at a quantile.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import data_io
 from .rng import Rng
@@ -102,11 +103,33 @@ class SceneSample:
 _MAX_BLOB_RETRIES = 30
 
 
+def gaussian_filter(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a square field with periodic boundaries.
+
+    The kernel is a Gaussian truncated at radius int(4*sigma + 0.5), with
+    weights exp(-t^2 / 2 sigma^2) normalised to sum 1. It is folded onto the
+    n-cycle, so a kernel wider than the field still wraps, and applied along
+    both axes as one circulant matrix: C @ field @ C.T. perfbench's tracer
+    counts smoothing passes by wrapping this name, so `_blob_layer` calls it
+    through the module.
+    """
+    n = field.shape[0]
+    radius = int(4.0 * sigma + 0.5)
+    t = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / sigma ** 2 * t ** 2)
+    w /= w.sum()
+    taps = np.bincount(t % n, weights=w, minlength=n)
+    # out[i] = sum_t w[t] field[(i + t) % n], so C[i, j] = taps[(j - i) % n].
+    idx = np.arange(n)
+    circulant = taps[(idx[None, :] - idx[:, None]) % n]
+    return circulant @ field @ circulant.T
+
+
 def _blob_layer(size: int, fraction: float, rng: Rng) -> np.ndarray:
     """One irregular blob field: smoothed white noise thresholded at a quantile."""
     sigma = float(rng.uniform()) * 0.06 * size + 0.04 * size
     noise = rng.normal((size, size))
-    smooth = gaussian_filter(noise, sigma=sigma, mode="wrap")
+    smooth = gaussian_filter(noise, sigma)
     level = np.quantile(smooth, 1.0 - fraction)
     return smooth > level
 

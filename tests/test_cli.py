@@ -22,12 +22,17 @@ def tree_bytes(root):
     return {p: p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
 
 
-def run_module(args, cwd):
-    """`python -m dgnet_lab.cli ARGS` in a fresh interpreter."""
+def run_python(args, cwd):
+    """`python ARGS` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ, OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "dgnet_lab.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def run_module(args, cwd):
+    """`python -m dgnet_lab.cli ARGS` in a fresh interpreter."""
+    return run_python(["-m", "dgnet_lab.cli", *args], cwd)
 
 
 class TestSynth:
@@ -508,6 +513,25 @@ class TestErrorContract:
                             cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert len(list((tmp_path / "d" / "images").glob("*.pgm"))) == 2
+
+
+class TestFootprint:
+    def test_no_command_loads_scipy(self, tmp_path):
+        # scipy.ndimage alone doubled a fresh interpreter's peak RSS and took
+        # ~0.35 s to import; the package needs numpy alone at run time.
+        script = """
+import pkgutil, sys
+import dgnet_lab
+for info in pkgutil.iter_modules(dgnet_lab.__path__):
+    __import__("dgnet_lab." + info.name)
+from dgnet_lab.cli import cli
+assert cli(["synth", "--out", "ds", "--count", "2", "--size", "16"]) == 0
+assert cli(["distfit", "--data", "ds/images/00000.pgm", "--mask", "ds/masks/00000.pgm"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+        result = run_python(["-c", script], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestArgHandling:

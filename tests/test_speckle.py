@@ -107,6 +107,26 @@ class TestSceneConfig:
             SceneConfig(**kwargs)
 
 
+class TestGaussianFilter:
+    @pytest.mark.parametrize("size", [8, 9, 16, 64, 100])
+    def test_matches_scipy_gaussian_filter_wrap(self, size):
+        from scipy.ndimage import gaussian_filter
+        rng = np.random.default_rng(size)
+        sigmas = [s * size for s in (0.04, 0.07, 0.10)]
+        cases = [(rng.standard_normal((size, size)), sigma) for sigma in sigmas]
+        if size == 8:
+            cases.append((rng.standard_normal((8, 8)), 3.0))   # 25 taps wrap three times
+        for field, sigma in cases:
+            ref = gaussian_filter(field, sigma=sigma, mode="wrap")
+            got = speckle.gaussian_filter(field, sigma)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), sigma
+
+    @pytest.mark.parametrize("size, sigma", [(8, 3.0), (64, 2.56), (100, 10.0)])
+    def test_constant_field_is_unchanged(self, size, sigma):
+        field = np.full((size, size), 0.7)
+        assert np.abs(speckle.gaussian_filter(field, sigma) - 0.7).max() <= 1e-15
+
+
 class TestSynthScene:
     def test_oil_region_mean(self):
         cfg = SceneConfig(size=256, oil_contrast=5.0, seed=10)
